@@ -38,6 +38,7 @@ import platform
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -47,6 +48,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro.ntt.negacyclic as negacyclic  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.fhe.rlwe import (  # noqa: E402
     RLWE,
@@ -65,10 +67,11 @@ NOISE_BOUND = 4
 #: ``multiply_many`` batches the tensor/relin ring products into
 #: ``*_many`` passes; it must not regress below the one-at-a-time
 #: ``multiply`` loop on full runs (smoke checks bit-identity only).
-#: At large ``n`` the convolutions dominate and batching only saves
-#: Python dispatch, so the ratio hovers near 1x — the allowance keeps
-#: that honest flatness (and timer jitter) from flaking the gate while
-#: a real regression (e.g. batching forcing extra copies) still trips.
+#: At large ``n`` the transforms dominate, so the ratio follows the NTT
+#: rows per product (``rows_per_product``): a batch transforms each
+#: relinearization key row once, a loop once per product.  The
+#: allowance keeps timer jitter from flaking the gate while a real
+#: regression (e.g. batching forcing extra copies) still trips.
 BATCH_SPEEDUP_FLOOR = 1.0
 BATCH_SPEEDUP_JITTER = 0.25
 #: Full runs must include at least one production-size measurement.
@@ -82,6 +85,33 @@ def _best_time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+@contextmanager
+def _counted_rows():
+    """Count the forward and inverse NTT rows a free scheme runs."""
+    rows = {"forward": 0, "inverse": 0}
+    originals = (
+        negacyclic.execute_plan_batch,
+        negacyclic.execute_plan_inverse_batch,
+    )
+
+    def counting(direction, execute):
+        def run(values, plan):
+            rows[direction] += values.shape[0]
+            return execute(values, plan)
+
+        return run
+
+    negacyclic.execute_plan_batch = counting("forward", originals[0])
+    negacyclic.execute_plan_inverse_batch = counting("inverse", originals[1])
+    try:
+        yield rows
+    finally:
+        (
+            negacyclic.execute_plan_batch,
+            negacyclic.execute_plan_inverse_batch,
+        ) = originals
 
 
 def school_negacyclic(
@@ -142,8 +172,10 @@ def multiply_case(
         for a, b in zip(lefts, rights)
     ]
 
-    batched = scheme.multiply_many(keys, pairs)
-    looped = [scheme.multiply(keys, x, y) for x, y in pairs]
+    with _counted_rows() as batched_rows:
+        batched = scheme.multiply_many(keys, pairs)
+    with _counted_rows() as looped_rows:
+        looped = [scheme.multiply(keys, x, y) for x, y in pairs]
     identical = all(
         np.array_equal(p.c0, q.c0) and np.array_equal(p.c1, q.c1)
         for p, q in zip(batched, looped)
@@ -165,6 +197,13 @@ def multiply_case(
         "looped_s": looped_s,
         "batch_speedup": looped_s / batched_s,
         "ct_products_per_s": batch / batched_s,
+        "rows_per_product": {
+            path: {k: v / batch for k, v in rows.items()}
+            for path, rows in (
+                ("batched", batched_rows),
+                ("looped", looped_rows),
+            )
+        },
         "identical": identical,
         "correct": correct,
     }
@@ -299,15 +338,23 @@ def render_table(report: dict) -> str:
         "RLWE pipeline: ct x ct multiply_many (tensor + relinearize)",
         "",
         f"{'n':>6} {'primes':>6} {'batch':>6} {'batched s':>10} "
-        f"{'looped s':>10} {'speedup':>8} {'ct/s':>8} {'ok':>4}",
+        f"{'looped s':>10} {'speedup':>8} {'ct/s':>8} "
+        f"{'fwd+inv rows/ct b|l':>23} {'ok':>4}",
     ]
     for r in report["multiply"]:
         ok = r["correct"] and r["identical"]
+        rows = " | ".join(
+            f"{p['forward']:.1f}+{p['inverse']:.1f}"
+            for p in (
+                r["rows_per_product"]["batched"],
+                r["rows_per_product"]["looped"],
+            )
+        )
         lines.append(
             f"{r['n']:>6} {r['rns_primes']:>6} {r['batch']:>6} "
             f"{r['batched_s']:>10.4f} {r['looped_s']:>10.4f} "
             f"{r['batch_speedup']:>7.2f}x "
-            f"{r['ct_products_per_s']:>8.1f} "
+            f"{r['ct_products_per_s']:>8.1f} {rows:>23} "
             f"{'yes' if ok else 'NO':>4}"
         )
     lines += [

@@ -17,10 +17,27 @@ Two modulus representations share one API:
   ciphertext component is a ``(k, n)`` matrix of residue channels —
   each channel is *just another batched negacyclic ring over the same
   engine* (residues stack on the existing batch axis).  Channel
-  products are computed exactly: the mod-``p`` convolution of
-  ``[0, q_i)`` residues is lifted to its centered integer (the
-  parameter validation guarantees ``n·(q_i − 1)² ≤ (p − 1)/2``) and
-  reduced back mod ``q_i``.
+  products are computed exactly: a mod-``p`` convolution whose integer
+  value is at most ``(p − 1)/2`` lifts to its centered integer and
+  reduces mod ``q_j``.  Three bounds let every operand be
+  forward-transformed at most once per call:
+
+  1. secret products multiply every channel row by *one* ``GF(p)`` row
+     holding the signed ternary secret: ``|conv| ≤ n·(q − 1)``;
+  2. a key-switching digit ``[c2_i·(q/q_i)^{-1}]_{q_i}`` is exact
+     against every channel's key without reduction mod ``q_j``:
+     ``n·(q_i − 1)(q_j − 1) ≤ (p − 1)/2`` follows from the validated
+     ``n·(q − 1)² ≤ (p − 1)/2``.  Against centered keys, groups of
+     :attr:`RLWEParams.relin_group` digit products (2 for every
+     :func:`default_rns_primes` chain) sum in the spectrum before one
+     inverse;
+  3. centered tensor operands let ``c0·d1 + c1·d0`` sum in the
+     spectrum: ``|c0·d1 + c1·d0| ≤ n·(q − 1)²/2``.
+
+  At batch ``B``, level ``L`` and group ``g``, ``multiply_many`` runs
+  ``4BL + BL + 2L²`` forward and ``3BL + 2BL·⌈L/g⌉`` inverse rows;
+  ``encrypt_many`` of ``M`` messages runs ``ML + 1`` forward and
+  ``ML`` inverse rows, and ``decrypt_many`` ``BL + 1`` and ``BL``.
 
 Plaintexts use the BV **LSB encoding**: ``c0 + c1·s = m + t·e (mod q)``
 with ``m ∈ Z_t[x]/(x^n + 1)``.  Decryption lifts the phase to its
@@ -60,10 +77,14 @@ from repro.field.vector import (
     vmul_scalar,
     vsub,
 )
-from repro.ntt.plan import TransformPlan
+from repro.ntt.plan import (
+    ORDER_DECIMATED,
+    TWIST_NEGACYCLIC,
+    TransformPlan,
+    plan_for_size,
+)
 from repro.ntt.negacyclic import (
     negacyclic_convolution_broadcast,
-    negacyclic_convolution_many,
     negacyclic_inverse_many,
     negacyclic_transform_many,
 )
@@ -81,6 +102,14 @@ def _centered_lift(rows: np.ndarray) -> np.ndarray:
     to the two's-complement pattern of ``v − p``.
     """
     return np.where(rows > _HALF, rows + _EPSILON, rows).view(np.int64)
+
+
+def _centered_field(rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """``GF(p)`` images of the centered representatives of ``[0, q)``
+    residues (``primes`` broadcasts against ``rows``): ``r > q/2``
+    maps to ``r − q + p``."""
+    q = primes.astype(np.uint64)
+    return np.where(rows > q >> np.uint64(1), rows + (np.uint64(P) - q), rows)
 
 
 def _is_prime(n: int) -> bool:
@@ -226,6 +255,43 @@ class RLWEParams:
             q *= prime
         return q
 
+    @property
+    def relin_group(self) -> int:
+        """RNS key-switching digit products that sum exactly in one
+        spectrum: each is at most ``n·(q_max − 1)·⌊(q_max − 1)/2⌋``
+        against a centered key, and the sum must stay within
+        ``(p − 1)/2``."""
+        q = max(self.rns_primes)
+        return ((P - 1) // 2) // (self.n * (q - 1) * ((q - 1) // 2))
+
+    def channel_residues(self, rows, level: int) -> np.ndarray:
+        """``level`` rows of channel residues from the wire, as a
+        ``(level, n)`` uint64 matrix.
+
+        Every exact channel product relies on ``0 ≤ r < q_j``, so a
+        residue outside that range raises ``ValueError`` naming its
+        channel instead of yielding a wrong product.
+        """
+        matrix = np.asarray(rows)
+        if (
+            not 1 <= level <= self.level_count
+            or matrix.shape != (level, self.n)
+            or matrix.dtype.kind not in "iufO"
+        ):
+            raise ValueError(
+                f"channel rows must be ({level}, {self.n}) integers"
+            )
+        primes = np.array(self.rns_primes[:level]).reshape(-1, 1)
+        bad = ((matrix < 0) | (matrix >= primes)).any(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(
+                f"channel {j} holds a residue outside [0, {primes[j, 0]})"
+            )
+        if matrix.dtype.kind not in "iu":
+            raise ValueError("channel residues must be integers")
+        return matrix.astype(np.uint64)
+
 
 @dataclass
 class RLWECiphertext:
@@ -323,12 +389,7 @@ class RelinKeys:
 
         def decode(component, level: int) -> np.ndarray:
             if params.is_rns:
-                matrix = to_field_matrix(component)
-                if matrix.shape != (level, params.n):
-                    raise ValueError(
-                        f"relin component must be ({level}, {params.n})"
-                    )
-                return matrix
+                return params.channel_residues(component, level)
             vector = to_field_array(component)
             if vector.shape != (params.n,):
                 raise ValueError(
@@ -388,8 +449,6 @@ class RLWE:
         routes are bit-identical."""
         params.validate()
         if engine is not None and plan is None:
-            from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC
-
             plan = engine.plan(
                 params.n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
             )
@@ -416,21 +475,18 @@ class RLWE:
         Bound schemes dispatch through ``engine._transform`` so the
         backend sees the pass (sharded on ``software-mp``,
         cycle-counted on ``hw-model``); free schemes run the module
-        helpers on ``self.plan``.
+        helpers on ``self.plan`` (default: the fused decimated plan).
         """
         if self.engine is not None and self.plan is not None:
             return self.engine._transform(self.plan, rows, inverse=inverse)
-        if inverse:
-            return negacyclic_inverse_many(rows, self.plan)
-        return negacyclic_transform_many(rows, self.plan)
-
-    def _conv_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise ``(R, n)`` negacyclic products mod ``p``."""
-        if self.engine is not None:
-            return self.engine.ring(self.params.n).convolve(
-                a, b, negacyclic=True
+        plan = self.plan
+        if plan is None:
+            plan = plan_for_size(
+                self.params.n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
             )
-        return negacyclic_convolution_many(a, b, self.plan)
+        if inverse:
+            return negacyclic_inverse_many(rows, plan)
+        return negacyclic_transform_many(rows, plan)
 
     def _conv_broadcast(
         self, rows: np.ndarray, poly: np.ndarray
@@ -453,41 +509,19 @@ class RLWE:
     ) -> np.ndarray:
         """Exact lift-and-reduce of mod-``p`` channel products.
 
-        ``product_rows`` holds negacyclic products of residues in
-        ``[0, q_i)``; the validated bound ``n·(q_i − 1)² ≤ (p − 1)/2``
-        makes the centered lift the true integer convolution, which
-        then reduces mod the row's channel prime.
+        Each product's integer value must lie within ``(p − 1)/2`` (see
+        the module docstring for the bounds every caller relies on):
+        the centered lift is then the true integer, which reduces mod
+        the row's channel prime.
         """
         return (
             _centered_lift(product_rows) % prime_column
         ).astype(np.uint64)
 
-    def _channel_conv(
-        self, a: np.ndarray, b: np.ndarray, prime_column: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise exact residue-channel negacyclic products."""
-        return self._channel_reduce(self._conv_rows(a, b), prime_column)
-
-    def _secret_rows(self, secret: np.ndarray, level: int) -> np.ndarray:
-        """``(level, n)`` channel residues of a signed secret."""
-        return (
-            secret.astype(np.int64) % self._primes[:level, np.newaxis]
-        ).astype(np.uint64)
-
     @staticmethod
-    def _as_signed_secret(key) -> np.ndarray:
-        """Accept an :class:`RLWEKeyPair` or a legacy secret vector."""
-        if isinstance(key, RLWEKeyPair):
-            return key.secret
-        rows = np.ascontiguousarray(key, dtype=np.uint64).reshape(1, -1)
-        return _centered_lift(rows)[0]
-
-    def _secret_for(self, key) -> np.ndarray:
-        """The secret in this scheme's native component shape."""
-        if self.params.is_rns:
-            return self._secret_rows(
-                self._as_signed_secret(key), self.params.level_count
-            )
+    def _secret_for(key) -> np.ndarray:
+        """The signed secret as one canonical ``GF(p)`` row (from an
+        :class:`RLWEKeyPair` or a legacy mod-``p`` secret vector)."""
         if isinstance(key, RLWEKeyPair):
             return key.secret_field
         return np.ascontiguousarray(key, dtype=np.uint64)
@@ -553,11 +587,9 @@ class RLWE:
         """
         params = self.params
         secret = self._ternary()
+        s_field = to_field_matrix(secret.reshape(1, -1))[0]
+        s_sq = self._conv_broadcast(s_field.reshape(1, -1), s_field)[0]
         if not params.is_rns:
-            s_field = to_field_matrix(secret.reshape(1, -1))[0]
-            s_sq = self._conv_rows(
-                s_field.reshape(1, -1), s_field.reshape(1, -1)
-            )[0]
             digits = -(-64 // params.relin_base)  # ceil(64 / base)
             a_rows = self._uniform_field(digits)
             noises = self._noise_signed(digits)
@@ -576,18 +608,15 @@ class RLWE:
 
         # RNS: s² as the exact (small) signed integer polynomial, then
         # per-level key material.
-        s_rows_full = self._secret_rows(secret, params.level_count)
-        s_field = to_field_matrix(secret.reshape(1, -1))
-        s_sq_int = _centered_lift(self._conv_rows(s_field, s_field))[0]
+        s_sq_int = _centered_lift(s_sq)
         levels: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], ...]] = {}
         for level in range(2, params.level_count + 1):
             primes = params.rns_primes[:level]
             q = self.params.modulus(level)
-            s_rows = s_rows_full[:level]
-            prime_col = self._prime_column(level, repeat=level)
             a_rows = self._uniform_channels(level, count=level)
-            a_s = self._channel_conv(
-                a_rows, np.tile(s_rows, (level, 1)), prime_col
+            a_s = self._channel_reduce(
+                self._conv_broadcast(a_rows, s_field),
+                self._prime_column(level, repeat=level),
             )
             keys = []
             for i in range(level):
@@ -641,8 +670,8 @@ class RLWE:
 
         Semantically a loop of :meth:`encrypt` (fresh randomness per
         ciphertext), but all ``a·s`` ring products run through a single
-        batched negacyclic convolution pass (RNS channels ride the
-        same batch axis).
+        batched pass against one signed-secret row (RNS channels ride
+        the same batch axis).
         """
         params = self.params
         messages = self._check_messages(messages)
@@ -651,9 +680,9 @@ class RLWE:
         batch = len(messages)
         noise = self._noise_signed(batch)
         payload = np.array(messages, dtype=np.int64) + params.t * noise
+        secret = self._secret_for(key)
 
         if not params.is_rns:
-            secret = self._secret_for(key)
             a = self._uniform_field(batch)
             a_s = self._conv_broadcast(a, secret)
             c0 = vsub(to_field_matrix(payload), a_s)
@@ -663,10 +692,9 @@ class RLWE:
             ]
 
         level = params.level_count
-        s_rows = self._secret_for(key)
         a = self._uniform_channels(level, count=batch)
         prime_col = self._prime_column(level, repeat=batch)
-        a_s = self._channel_conv(a, np.tile(s_rows, (batch, 1)), prime_col)
+        a_s = self._channel_reduce(self._conv_broadcast(a, secret), prime_col)
         payload_rows = np.repeat(payload, level, axis=0)
         c0 = (
             (payload_rows - a_s.astype(np.int64)) % prime_col
@@ -692,60 +720,30 @@ class RLWE:
         return cts
 
     def _phase_rows(self, key, cts: Sequence[RLWECiphertext]) -> np.ndarray:
-        """Stacked phases ``c0 + c1·s (+ c2·s²)`` for a batch."""
-        params = self.params
-        batch = len(cts)
-        level = cts[0].level
-        degree2 = any(ct.c2 is not None for ct in cts)
-        if not params.is_rns:
-            secret = self._secret_for(key)
-            c1 = np.vstack([ct.c1 for ct in cts])
-            phase = vadd(
-                np.vstack([ct.c0 for ct in cts]),
-                self._conv_broadcast(c1, secret),
-            )
-            if degree2:
-                s_sq = self._conv_rows(
-                    secret.reshape(1, -1), secret.reshape(1, -1)
-                )[0]
-                c2 = np.vstack(
-                    [
-                        ct.c2
-                        if ct.c2 is not None
-                        else np.zeros(params.n, dtype=np.uint64)
-                        for ct in cts
-                    ]
-                )
-                phase = vadd(phase, self._conv_broadcast(c2, s_sq))
-            return phase
+        """Stacked phases ``c0 + (c1 + c2·s)·s`` for a batch (``c2``
+        only when present): each product is one pass of every
+        (channel) row against the single signed-secret row."""
+        secret = self._secret_for(key)
+        primes = None
+        if self.params.is_rns:
+            primes = self._prime_column(cts[0].level, repeat=len(cts))
 
-        signed = self._as_signed_secret(key)
-        s_rows = self._secret_rows(signed, level)
-        prime_col = self._prime_column(level, repeat=batch)
+        def mac(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            """``acc + rows·s`` in the ciphertext ring."""
+            product = self._conv_broadcast(rows, secret)
+            if primes is None:
+                return vadd(acc, product)
+            product = self._channel_reduce(product, primes)
+            return (acc + product) % primes.astype(np.uint64)
+
         c1 = np.vstack([ct.c1 for ct in cts])
-        phase = (
-            np.vstack([ct.c0 for ct in cts])
-            + self._channel_conv(c1, np.tile(s_rows, (batch, 1)), prime_col)
-        ) % prime_col.astype(np.uint64)
-        if degree2:
-            s_field = to_field_matrix(signed.reshape(1, -1))
-            s_sq_int = _centered_lift(self._conv_rows(s_field, s_field))[0]
-            s_sq_rows = (
-                s_sq_int % self._primes[:level, np.newaxis]
-            ).astype(np.uint64)
-            c2 = np.vstack(
-                [
-                    ct.c2
-                    if ct.c2 is not None
-                    else np.zeros((level, params.n), dtype=np.uint64)
-                    for ct in cts
-                ]
-            )
-            term = self._channel_conv(
-                c2, np.tile(s_sq_rows, (batch, 1)), prime_col
-            )
-            phase = (phase + term) % prime_col.astype(np.uint64)
-        return phase
+        if any(ct.c2 is not None for ct in cts):
+            c2 = [
+                np.zeros_like(ct.c1) if ct.c2 is None else ct.c2
+                for ct in cts
+            ]
+            c1 = mac(c1, np.vstack(c2))
+        return mac(np.vstack([ct.c0 for ct in cts]), c1)
 
     def _crt_lift(self, rows: np.ndarray, level: int) -> List[List[int]]:
         """CRT-recombine ``(batch·level, n)`` channels to integers mod
@@ -936,9 +934,10 @@ class RLWE:
         """Batched tensor products: one 4-way spectrum-reuse pass.
 
         All ``c0/c1/d0/d1`` rows of every pair (times every residue
-        channel) are forward-transformed in one batch; the four cross
-        products per pair are pointwise spectrum products and one
-        batched inverse.
+        channel) are forward-transformed in one batch; the cross term
+        ``c0·d1 + c1·d0`` sums in the spectrum, so each pair (channel)
+        needs three inverse rows.  RNS operands are centered first,
+        which keeps that sum within ``(p − 1)/2``.
         """
         pairs = list(pairs)
         if not pairs:
@@ -956,56 +955,30 @@ class RLWE:
         params = self.params
         level = xs[0].level if params.is_rns else 1
         batch = len(pairs)
-        rows = batch * level
         stacked = np.vstack(
-            [
-                np.vstack([x.c0.reshape(level, -1) for x in xs]),
-                np.vstack([x.c1.reshape(level, -1) for x in xs]),
-                np.vstack([y.c0.reshape(level, -1) for y in ys]),
-                np.vstack([y.c1.reshape(level, -1) for y in ys]),
-            ]
+            [x.c0 for x in xs] + [x.c1 for x in xs]
+            + [y.c0 for y in ys] + [y.c1 for y in ys]
         )
-        spectra = self._transform_rows(stacked)
-        c0s, c1s = spectra[:rows], spectra[rows : 2 * rows]
-        d0s, d1s = spectra[2 * rows : 3 * rows], spectra[3 * rows :]
+        if params.is_rns:
+            stacked = _centered_field(
+                stacked, self._prime_column(level, repeat=4 * batch)
+            )
+        c0s, c1s, d0s, d1s = np.split(self._transform_rows(stacked), 4)
+        cross = vadd(vmul(c0s, d1s), vmul(c1s, d0s))
         products = self._transform_rows(
-            np.vstack(
-                [
-                    vmul(c0s, d0s),
-                    vmul(c0s, d1s),
-                    vmul(c1s, d0s),
-                    vmul(c1s, d1s),
-                ]
-            ),
-            inverse=True,
+            np.vstack([vmul(c0s, d0s), cross, vmul(c1s, d1s)]), inverse=True
         )
-        p00 = products[:rows]
-        p01 = products[rows : 2 * rows]
-        p10 = products[2 * rows : 3 * rows]
-        p11 = products[3 * rows :]
-        if not params.is_rns:
-            e1 = vadd(p01, p10)
-            return [
-                RLWECiphertext(
-                    c0=p00[i], c1=e1[i], params=params, c2=p11[i]
-                )
-                for i in range(batch)
-            ]
-        prime_col = self._prime_column(level, repeat=batch)
-        primes_u = prime_col.astype(np.uint64)
-        e0 = self._channel_reduce(p00, prime_col)
-        e1 = (
-            self._channel_reduce(p01, prime_col)
-            + self._channel_reduce(p10, prime_col)
-        ) % primes_u
-        e2 = self._channel_reduce(p11, prime_col)
+        if params.is_rns:
+            products = self._channel_reduce(
+                products, self._prime_column(level, repeat=3 * batch)
+            )
+        e0, e1, e2 = (
+            part.reshape(batch, *xs[0].c0.shape)
+            for part in np.split(products, 3)
+        )
         return [
             RLWECiphertext(
-                c0=e0[i * level : (i + 1) * level],
-                c1=e1[i * level : (i + 1) * level],
-                params=params,
-                c2=e2[i * level : (i + 1) * level],
-                level=level,
+                c0=e0[i], c1=e1[i], params=params, c2=e2[i], level=xs[0].level
             )
             for i in range(batch)
         ]
@@ -1030,7 +1003,11 @@ class RLWE:
     def relinearize_many(
         self, key, cts: Sequence[RLWECiphertext]
     ) -> List[RLWECiphertext]:
-        """Batched key switching: all digit products in one pass."""
+        """Batched key switching: each digit and key row is
+        forward-transformed once, and digit products sum in the spectrum
+        before the inverse — all of them in single-modulus mode, groups
+        of :attr:`RLWEParams.relin_group` against centered keys in RNS
+        mode."""
         cts = self._check_ciphertexts(cts)
         if not cts:
             return []
@@ -1043,109 +1020,63 @@ class RLWE:
         if relin.params != self.params:
             raise ValueError("relinearization keys for different params")
         params = self.params
+        n = params.n
         batch = len(cts)
-
-        if not params.is_rns:
-            keys = relin.for_level(1)
-            digits = len(keys)
+        level = cts[0].level
+        keys = relin.for_level(level)
+        if params.is_rns:
+            primes = self._primes[:level, np.newaxis]
+            q = params.modulus(level)
+            inv_qhat = np.array(
+                [[pow(q // p % p, -1, p)] for p in params.rns_primes[:level]],
+                dtype=np.int64,
+            )
+            # CRT digits d_i = [c2_i·(q/q_i)^{-1}]_{q_i}, each exact
+            # against every channel's key without reduction mod q_j.
+            digits = np.stack(
+                [ct.c2.astype(np.int64) * inv_qhat % primes for ct in cts]
+            ).astype(np.uint64)
+            key_rows = _centered_field(np.array(keys), primes)
+            group = params.relin_group
+        else:
             base = params.relin_base
             mask = np.uint64((1 << base) - 1)
             c2 = np.vstack([ct.c2 for ct in cts])
-            digit_rows = np.vstack(
-                [
-                    (c2 >> np.uint64(j * base)) & mask
-                    for j in range(digits)
-                ]
+            digits = np.stack(
+                [(c2 >> np.uint64(j * base)) & mask for j in range(len(keys))],
+                axis=1,
             )
-            key_rows = np.vstack(
-                [
-                    np.vstack(
-                        [np.broadcast_to(k0, (batch, params.n)) for k0, _ in keys]
-                    ),
-                    np.vstack(
-                        [np.broadcast_to(k1, (batch, params.n)) for _, k1 in keys]
-                    ),
-                ]
-            )
-            products = self._conv_rows(
-                np.vstack([digit_rows, digit_rows]), key_rows
-            )
-            half = digits * batch
-            sum0 = products[:half].reshape(digits, batch, params.n)
-            sum1 = products[half:].reshape(digits, batch, params.n)
-            acc0 = sum0[0].copy()
-            acc1 = sum1[0].copy()
-            for j in range(1, digits):
-                acc0 = vadd(acc0, sum0[j])
-                acc1 = vadd(acc1, sum1[j])
-            return [
-                RLWECiphertext(
-                    c0=vadd(cts[i].c0, acc0[i]),
-                    c1=vadd(cts[i].c1, acc1[i]),
-                    params=params,
-                )
-                for i in range(batch)
-            ]
-
-        level = cts[0].level
-        keys = relin.for_level(level)
-        primes = params.rns_primes[:level]
-        q = params.modulus(level)
-        # Per-channel digits d_i = [c2_i · (q/q_i)^{-1}]_{q_i}: small
-        # single-channel polynomials whose weighted sum recombines c2.
-        inv_qhat = np.array(
-            [
-                pow((q // prime) % prime, -1, prime)
-                for prime in primes
-            ],
-            dtype=np.uint64,
+            key_rows = np.array(keys)[:, :, np.newaxis]
+            group = len(keys)
+        # digits: (batch, digit, n); key_rows: (digit, k0/k1, channel, n).
+        spectra = self._transform_rows(
+            np.vstack([digits.reshape(-1, n), key_rows.reshape(-1, n)])
         )
-        digit_rows = []  # (batch·level², n): pair b, digit i, channel j
-        key0_rows = []
-        key1_rows = []
-        prime_rows = []
-        for b, ct in enumerate(cts):
-            digits = []
-            for i, prime in enumerate(primes):
-                d = (
-                    ct.c2[i].astype(np.int64)
-                    * np.int64(inv_qhat[i])
-                    % np.int64(prime)
-                ).astype(np.uint64)
-                digits.append(d)
-            for i in range(level):
-                k0, k1 = keys[i]
-                for j, prime in enumerate(primes):
-                    digit_rows.append(digits[i] % np.uint64(prime))
-                    key0_rows.append(k0[j])
-                    key1_rows.append(k1[j])
-                    prime_rows.append(prime)
-        half = len(digit_rows)
-        prime_col = np.array(prime_rows * 2, dtype=np.int64).reshape(-1, 1)
-        products = self._channel_conv(
-            np.vstack([digit_rows, digit_rows]),
-            np.vstack([key0_rows, key1_rows]),
-            prime_col,
-        )
-        primes_u = self._prime_column(level, repeat=batch).astype(
-            np.uint64
-        )
-        shaped0 = products[:half].reshape(batch, level, level, params.n)
-        shaped1 = products[half:].reshape(batch, level, level, params.n)
-        out = []
-        for b, ct in enumerate(cts):
-            acc0 = ct.c0.copy()
-            acc1 = ct.c1.copy()
-            chunk = primes_u[b * level : (b + 1) * level]
-            for i in range(level):
-                acc0 = (acc0 + shaped0[b, i]) % chunk
-                acc1 = (acc1 + shaped1[b, i]) % chunk
-            out.append(
-                RLWECiphertext(
-                    c0=acc0, c1=acc1, params=params, level=level
-                )
-            )
-        return out
+        count = digits.shape[1]
+        d_spec = spectra[: batch * count].reshape(batch, count, 1, 1, n)
+        terms = vmul(d_spec, spectra[batch * count :].reshape(key_rows.shape))
+        sums = []
+        for start in range(0, count, group):
+            acc = terms[:, start]
+            for i in range(start + 1, min(start + group, count)):
+                acc = vadd(acc, terms[:, i])
+            sums.append(acc)
+        products = self._transform_rows(
+            np.stack(sums, axis=1).reshape(-1, n), inverse=True
+        ).reshape(batch, len(sums), 2, -1, n)
+        c01 = np.stack([np.stack([ct.c0, ct.c1]) for ct in cts])
+        if params.is_rns:
+            out = (
+                (_centered_lift(products) % primes).sum(axis=1)
+                + c01.astype(np.int64)
+            ) % primes
+            out = out.astype(np.uint64)
+        else:
+            out = vadd(c01, products[:, 0, :, 0])
+        return [
+            RLWECiphertext(c0=c[0], c1=c[1], params=params, level=level)
+            for c in out
+        ]
 
     def multiply(self, key, x: RLWECiphertext, y: RLWECiphertext) -> RLWECiphertext:
         """Ciphertext-by-ciphertext product: tensor + relinearize.

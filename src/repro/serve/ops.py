@@ -709,7 +709,7 @@ class RLWEMultiplyOp(ServiceOp):
     @classmethod
     def from_payload(cls, payload: dict) -> "RLWEMultiplyOp":
         from repro.fhe.rlwe import RelinKeys, RLWECiphertext
-        from repro.field.vector import to_field_array, to_field_matrix
+        from repro.field.vector import to_field_array
 
         params = _decode_rlwe_params(payload)
         raw_relin = _require(payload, "relin")
@@ -734,7 +734,10 @@ class RLWEMultiplyOp(ServiceOp):
                     raise ProtocolError(
                         f"RNS components must carry {level} channel rows"
                     )
-                return to_field_matrix(rows)
+                try:
+                    return params.channel_residues(rows, level)
+                except ValueError as error:
+                    raise ProtocolError(f"bad ciphertext: {error}") from None
             if len(rows) != 1:
                 raise ProtocolError(
                     "single-modulus components must be flat rows"

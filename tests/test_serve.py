@@ -14,6 +14,7 @@ The acceptance invariants of the serving tier live here:
 """
 
 import asyncio
+import json
 import random
 import threading
 import time
@@ -103,6 +104,58 @@ class TestProtocol:
         assert back.dead_lettered and back.fault_events
 
 
+def _rlwe_wire_request():
+    """A 2-prime ``rlwe-multiply`` wire payload for one pair, with the
+    scheme, keys and plaintexts that produced it."""
+    from repro.fhe.rlwe import RLWE, default_rns_primes
+
+    params = RLWEParams(
+        n=64,
+        t=17,
+        noise_bound=4,
+        rns_primes=default_rns_primes(64, 17, 2),
+    )
+    scheme = RLWE(params, rng=random.Random(47))
+    keys = scheme.keygen()
+    rng = random.Random(48)
+    m1 = [rng.randrange(params.t) for _ in range(params.n)]
+    m2 = [rng.randrange(params.t) for _ in range(params.n)]
+    c1, c2 = scheme.encrypt_many(keys, [m1, m2])
+
+    def encode(ct):
+        return [
+            [[int(v) for v in row] for row in ct.c0],
+            [[int(v) for v in row] for row in ct.c1],
+        ]
+
+    payload = {
+        "n": params.n,
+        "t": params.t,
+        "noise_bound": params.noise_bound,
+        "rns_primes": list(params.rns_primes),
+        "relin": keys.relin.to_payload(),
+        "pairs": [[encode(c1), encode(c2)]],
+    }
+    return scheme, keys, (m1, m2), payload
+
+
+#: Out-of-range RNS residues: the channel prime itself, a negative and
+#: a huge int (the wire carries arbitrary JSON integers).
+BAD_RESIDUES = ("q_j", -1, 1 << 40)
+
+
+def _with_bad_residue(payload, bad, where):
+    """A copy of ``payload`` with one channel-1 coefficient replaced."""
+    payload = json.loads(json.dumps(payload))
+    prime = payload["rns_primes"][1]
+    value = prime if bad == "q_j" else bad
+    if where == "ciphertext":
+        payload["pairs"][0][1][0][1][7] = value  # second ct, c0, channel 1
+    else:
+        payload["relin"]["levels"]["2"][0][0][1][7] = value
+    return payload
+
+
 # -- op vocabulary ---------------------------------------------------------
 
 
@@ -139,6 +192,14 @@ class TestOps:
         op = ConvolveOp.of(8, a, b)
         assert not op.coalescible
         assert ConvolveOp.of(8, a, a).coalescible
+
+    @pytest.mark.parametrize("where", ["ciphertext", "relin"])
+    @pytest.mark.parametrize("bad", BAD_RESIDUES)
+    def test_rlwe_multiply_rejects_out_of_range_residues(self, bad, where):
+        _, _, _, payload = _rlwe_wire_request()
+        assert decode_op("rlwe-multiply", payload).count == 1
+        with pytest.raises(ProtocolError, match="channel 1 "):
+            decode_op("rlwe-multiply", _with_bad_residue(payload, bad, where))
 
     def test_dghv_noise_bits_must_be_numeric(self):
         params = {
@@ -695,40 +756,11 @@ class TestTCPService:
     def test_tcp_rlwe_multiply_roundtrip(self):
         """Wire-level smoke: keygen → encrypt → submit rlwe-multiply
         over TCP → decode → decrypt equals the schoolbook product."""
-        from repro.fhe.rlwe import (
-            RLWE,
-            RLWECiphertext,
-            default_rns_primes,
-        )
+        from repro.fhe.rlwe import RLWECiphertext
         from repro.field.vector import to_field_matrix
 
-        params = RLWEParams(
-            n=64,
-            t=17,
-            noise_bound=4,
-            rns_primes=default_rns_primes(64, 17, 2),
-        )
-        scheme = RLWE(params, rng=random.Random(47))
-        keys = scheme.keygen()
-        rng = random.Random(48)
-        m1 = [rng.randrange(params.t) for _ in range(params.n)]
-        m2 = [rng.randrange(params.t) for _ in range(params.n)]
-        c1, c2 = scheme.encrypt_many(keys, [m1, m2])
-
-        def encode(ct):
-            return [
-                [[int(v) for v in row] for row in ct.c0],
-                [[int(v) for v in row] for row in ct.c1],
-            ]
-
-        payload = {
-            "n": params.n,
-            "t": params.t,
-            "noise_bound": params.noise_bound,
-            "rns_primes": list(params.rns_primes),
-            "relin": keys.relin.to_payload(),
-            "pairs": [[encode(c1), encode(c2)]],
-        }
+        scheme, keys, (m1, m2), payload = _rlwe_wire_request()
+        params = scheme.params
         service = _service()
 
         async def scenario():
@@ -785,3 +817,38 @@ class TestTCPService:
             service.shutdown()
         assert response.status == "error"
         assert response.error_type == "ProtocolError"
+
+    def test_tcp_out_of_range_residues_are_typed_errors(self):
+        """Each bad residue gets a typed error naming its channel, and
+        the same connection then serves a valid request."""
+        _, _, _, payload = _rlwe_wire_request()
+        bad_payloads = [
+            _with_bad_residue(payload, bad, where)
+            for bad in BAD_RESIDUES
+            for where in ("ciphertext", "relin")
+        ]
+        service = _service()
+
+        async def scenario():
+            server = await ServiceServer(service, port=0).start()
+            async with await AsyncServiceClient.connect(
+                port=server.port
+            ) as client:
+                rejected = [
+                    await client.submit("rlwe-multiply", bad)
+                    for bad in bad_payloads
+                ]
+                accepted = await client.submit("rlwe-multiply", payload)
+            server.request_stop()
+            await server.serve_until_done()
+            return rejected, accepted
+
+        try:
+            rejected, accepted = asyncio.run(scenario())
+        finally:
+            service.shutdown()
+        for response in rejected:
+            assert response.status == "error"
+            assert response.error_type == "ProtocolError"
+            assert "channel 1 " in response.error
+        assert accepted.ok
