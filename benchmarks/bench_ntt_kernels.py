@@ -1,9 +1,12 @@
-"""E10 — NTT stage-kernel backends: ``loop`` vs ``limb-matmul``.
+"""E10 — NTT stage-kernel backends: ``loop``, ``limb-matmul``, ``compiled``.
 
-Standalone benchmark (also importable under pytest) comparing the two
+Standalone benchmark (also importable under pytest) comparing the
 stage-DFT backends of :mod:`repro.ntt.kernels` on the forward NTT at
 several batch sizes, cross-checking bit-exactness on every
-measurement, plus the fused-negacyclic gate: the ψ-fused plans must be
+measurement (``compiled`` runs when its C library builds on the host,
+and must be bit-exact against ``loop`` and at least as fast as
+``limb-matmul``; the fused ring product is timed on it too), plus the
+fused-negacyclic gate: the ψ-fused plans must be
 bit-identical to the explicit-twist ``loop``-kernel oracle and at
 least as fast as the unfused limb-matmul route on a full
 forward+pointwise+inverse ring product.  The permutation-free gate
@@ -23,7 +26,8 @@ Usage::
     python benchmarks/bench_ntt_kernels.py --smoke    # CI: 4K points
 
 Exit status is non-zero if the limb-matmul backend loses bit-exactness
-anywhere, regresses below 1× the loop backend, the fused negacyclic
+anywhere, regresses below 1× the loop backend, the compiled backend
+loses bit-exactness or drops below 1× limb-matmul, the fused negacyclic
 path loses bit-identity / drops below 1× the unfused path, or the
 permutation-free pipeline loses bit-identity / regresses below its
 floor; the full run additionally enforces the ≥3× acceptance threshold
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -50,8 +55,10 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.field.solinas import P  # noqa: E402
 from repro.ntt.convolution import cyclic_convolution_many  # noqa: E402
 from repro.ntt.kernels import (  # noqa: E402
+    KERNEL_COMPILED,
     KERNEL_LIMB_MATMUL,
     KERNEL_LOOP,
+    available_kernels,
 )
 from repro.ntt.negacyclic import (  # noqa: E402
     negacyclic_convolution_many,
@@ -68,8 +75,11 @@ OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 
 #: Acceptance thresholds (see ISSUE 2): the fast backend must never be
 #: slower than the reference, and the full run must show ≥3× on the
-#: single-shot 64K transform.
+#: single-shot 64K transform.  The compiled backend must never be
+#: slower than limb-matmul.
 MIN_SPEEDUP = 1.0
+MIN_COMPILED_SPEEDUP = 1.0
+COMPILED = KERNEL_COMPILED in available_kernels()
 ACCEPTANCE_SPEEDUP = 3.0
 ACCEPTANCE_N = 65536
 #: The fused negacyclic route strictly removes vector passes, so it
@@ -131,7 +141,7 @@ def run_case(n: int, radices, batch: int, repeats: int, seed: int) -> dict:
 
     loop_s = _best_time(lambda: execute_plan_batch(data, loop_plan), repeats)
     fast_s = _best_time(lambda: execute_plan_batch(data, fast_plan), repeats)
-    return {
+    result = {
         "n": n,
         "radices": list(radices),
         "batch": batch,
@@ -142,6 +152,21 @@ def run_case(n: int, radices, batch: int, repeats: int, seed: int) -> dict:
         "limb_matmul_transforms_per_s": batch / fast_s,
         "bit_exact": bit_exact,
     }
+    if COMPILED:
+        compiled_plan = plan_for_size(n, radices, kernel=KERNEL_COMPILED)
+        compiled_out = execute_plan_batch(data, compiled_plan)
+        fast_s, compiled_s = _interleaved_best(
+            lambda: execute_plan_batch(data, fast_plan),
+            lambda: execute_plan_batch(data, compiled_plan),
+            repeats,
+        )
+        result.update(
+            compiled_s=compiled_s,
+            compiled_speedup=fast_s / compiled_s,
+            compiled_transforms_per_s=batch / compiled_s,
+            compiled_bit_exact=bool(np.array_equal(loop_out, compiled_out)),
+        )
+    return result
 
 
 def run_negacyclic_case(
@@ -182,7 +207,7 @@ def run_negacyclic_case(
         lambda: negacyclic_convolution_many(a, b, fused_plan),
         repeats,
     )
-    return {
+    result = {
         "n": n,
         "radices": list(radices),
         "batch": batch,
@@ -192,6 +217,23 @@ def run_negacyclic_case(
         "fused_products_per_s": batch / fused_s,
         "bit_exact": bit_exact,
     }
+    if COMPILED:
+        compiled_plan = plan_for_size(
+            n, radices, kernel=KERNEL_COMPILED, twist=TWIST_NEGACYCLIC
+        )
+        compiled_out = negacyclic_convolution_many(a, b, compiled_plan)
+        fused_s, compiled_s = _interleaved_best(
+            lambda: negacyclic_convolution_many(a, b, fused_plan),
+            lambda: negacyclic_convolution_many(a, b, compiled_plan),
+            repeats,
+        )
+        result.update(
+            fused_compiled_s=compiled_s,
+            compiled_speedup=fused_s / compiled_s,
+            fused_compiled_products_per_s=batch / compiled_s,
+            compiled_bit_exact=bool(np.array_equal(oracle, compiled_out)),
+        )
+    return result
 
 
 def run_ordering_case(
@@ -255,18 +297,30 @@ def run_ordering_case(
     }
 
 
+def _compiled_cells(r: dict, seconds_key: str) -> str:
+    if seconds_key not in r:
+        return f" {'(no compiler)':>24}"
+    return (
+        f" {r[seconds_key]:>11.4f} {r['compiled_speedup']:>6.2f}x "
+        f"{'yes' if r['compiled_bit_exact'] else 'NO':>5}"
+    )
+
+
 def render_table(results: List[dict]) -> str:
     lines = [
-        "NTT stage-kernel backends: loop vs limb-matmul (forward NTT)",
+        "NTT stage-kernel backends: loop vs limb-matmul vs compiled "
+        "(forward NTT; compiled speedup is over limb-matmul)",
         "",
         f"{'n':>7} {'batch':>6} {'loop s':>10} {'limb-matmul s':>14} "
-        f"{'speedup':>8} {'exact':>6}",
+        f"{'speedup':>8} {'exact':>6} {'compiled s':>11} {'speedup':>7} "
+        f"{'exact':>5}",
     ]
     for r in results:
         lines.append(
             f"{r['n']:>7} {r['batch']:>6} {r['loop_s']:>10.4f} "
             f"{r['limb_matmul_s']:>14.4f} {r['speedup']:>7.2f}x "
             f"{'yes' if r['bit_exact'] else 'NO':>6}"
+            + _compiled_cells(r, "compiled_s")
         )
     return "\n".join(lines)
 
@@ -274,16 +328,19 @@ def render_table(results: List[dict]) -> str:
 def render_negacyclic_table(results: List[dict]) -> str:
     lines = [
         "",
-        "fused negacyclic ring products: psi-fused plans vs explicit twist",
+        "fused negacyclic ring products: psi-fused plans vs explicit twist "
+        "(limb-matmul), then fused on compiled",
         "",
         f"{'n':>7} {'batch':>6} {'unfused s':>10} {'fused s':>10} "
-        f"{'speedup':>8} {'exact':>6}",
+        f"{'speedup':>8} {'exact':>6} {'compiled s':>11} {'speedup':>7} "
+        f"{'exact':>5}",
     ]
     for r in results:
         lines.append(
             f"{r['n']:>7} {r['batch']:>6} {r['unfused_s']:>10.4f} "
             f"{r['fused_s']:>10.4f} {r['speedup']:>7.2f}x "
             f"{'yes' if r['bit_exact'] else 'NO':>6}"
+            + _compiled_cells(r, "fused_compiled_s")
         )
     return "\n".join(lines)
 
@@ -322,6 +379,18 @@ def evaluate(
             failures.append(
                 f"{tag}: limb-matmul regressed to "
                 f"{r['speedup']:.2f}x (< {MIN_SPEEDUP}x loop)"
+            )
+    for r in results + (negacyclic or []):
+        if "compiled_speedup" not in r:
+            continue
+        tag = f"compiled n={r['n']} batch={r['batch']}"
+        if not r["compiled_bit_exact"]:
+            failures.append(f"{tag}: compiled output diverged from loop")
+        if r["compiled_speedup"] < MIN_COMPILED_SPEEDUP:
+            failures.append(
+                f"{tag}: compiled regressed to "
+                f"{r['compiled_speedup']:.2f}x "
+                f"(< {MIN_COMPILED_SPEEDUP}x limb-matmul)"
             )
     for r in negacyclic or []:
         tag = f"negacyclic n={r['n']} batch={r['batch']}"
@@ -443,6 +512,8 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpus": len(os.sched_getaffinity(0)),
+            "kernels": list(available_kernels()),
         },
         "config": {
             "repeats": repeats,
@@ -454,6 +525,7 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         "ordering": ordering_results,
         "acceptance": {
             "min_speedup": MIN_SPEEDUP,
+            "min_compiled_speedup": MIN_COMPILED_SPEEDUP,
             "min_negacyclic_speedup": MIN_NEGACYCLIC_SPEEDUP,
             "min_ordering_speedup": MIN_ORDERING_SPEEDUP,
             "ordering_jitter": ORDERING_JITTER,
@@ -525,8 +597,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print(
-        "\nPASS: bit-exact everywhere (fused negacyclic and "
-        "permutation-free pipelines included), speedup gates met"
+        "\nPASS: bit-exact everywhere (compiled kernel, fused negacyclic "
+        "and permutation-free pipelines included), speedup gates met"
     )
     return 0
 

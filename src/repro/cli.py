@@ -337,6 +337,8 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.ntt.kernels import available_kernels
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DATE 2016 HE-accelerator reproduction toolkit",
@@ -372,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pm.add_argument(
         "--kernel",
-        choices=["loop", "limb-matmul"],
+        choices=available_kernels(),
         default=None,
         help=(
             "NTT stage-DFT backend (default: REPRO_NTT_KERNEL env var, "
-            "then limb-matmul)"
+            "then compiled when its C library builds, else limb-matmul)"
         ),
     )
     pm.add_argument(

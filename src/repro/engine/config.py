@@ -12,7 +12,8 @@ Kernel precedence (resolved **once**, at config construction):
 2. the ``REPRO_NTT_KERNEL`` environment variable as read *at the moment
    the config is constructed* — later changes to the environment do not
    retroactively affect an engine that is already built,
-3. the built-in default (``limb-matmul``).
+3. the built-in default: ``compiled`` when its C library loads on this
+   host (:mod:`repro.native`), else ``limb-matmul``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class ExecutionConfig:
     Parameters
     ----------
     kernel:
-        NTT stage-DFT backend (``"loop"`` or ``"limb-matmul"``).
+        NTT stage-DFT backend (``"loop"``, ``"limb-matmul"`` or
+        ``"compiled"``).
         ``None`` resolves through ``REPRO_NTT_KERNEL`` **once, here at
         construction** (see the module docstring for the precedence
         rule); the resolved name is stored, so the engine never touches

@@ -1,11 +1,13 @@
 """Vectorized ``GF(p)`` arithmetic on numpy ``uint64`` arrays.
 
 Pure-Python big-int arithmetic is the correctness oracle but is far too
-slow for 64K-point transforms, so the software fast path emulates the
-64×64→128-bit multiply with 32-bit limb products (exactly the
-schoolbook decomposition the paper's DSP-based modular multiplier uses,
-Section IV-d) and reduces with the word-level identities behind
-Equation 4.
+slow for 64K-point transforms.  :func:`vmul` runs the compiled
+``unsigned __int128`` multiply-reduce of :mod:`repro.native` whenever
+that library loads and the operand layout is one it takes; otherwise
+the numpy path emulates the 64×64→128-bit multiply with 32-bit limb
+products (exactly the schoolbook decomposition the paper's DSP-based
+modular multiplier uses, Section IV-d).  Both reduce with the
+word-level identities behind Equation 4 and return the same bits.
 
 All arrays hold canonical residues (``< p``) as ``uint64``.  Overflow
 wrapping of numpy unsigned arithmetic is exploited deliberately and
@@ -18,6 +20,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+from repro import native
 from repro.field.solinas import P
 
 _P64 = np.uint64(P)
@@ -196,6 +199,9 @@ def vmul(
     alias ``a`` and/or ``b`` (the wide product is formed before the
     reduction writes anything).
     """
+    product = native.mul_reduce(a, b, out)
+    if product is not None:
+        return product
     hi, lo = _mul_wide(a, b)
     return _reduce_wide(hi, lo, out=out)
 

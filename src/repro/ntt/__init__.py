@@ -14,8 +14,9 @@ Layered as in the paper:
   paper's three-stage 64·64·16 decomposition of the 64K transform
   (Eq. 2);
 - :mod:`repro.ntt.kernels` — selectable stage-DFT backends: the
-  ``loop`` reference and the ``limb-matmul`` fast kernel (exact
-  16-bit-limb float64 matmuls folded by the Eq. 4 identities);
+  ``loop`` reference, the ``limb-matmul`` numpy kernel (exact
+  16-bit-limb float64 matmuls folded by the Eq. 4 identities) and the
+  ``compiled`` C kernel (a shift-twiddle radix-2 FFT per stage);
 - :mod:`repro.ntt.staged` — vectorized execution of a plan;
 - :mod:`repro.ntt.order` — explicit natural↔decimated spectrum
   reordering for the permutation-free plan pairs;

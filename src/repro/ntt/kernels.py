@@ -1,20 +1,20 @@
-"""Stage-DFT kernel backends: the ``loop`` oracle and ``limb-matmul``.
+"""Stage-DFT kernel backends: ``loop``, ``limb-matmul`` and ``compiled``.
 
 The hardware FFT-64 unit evaluates a radix-64 DFT as a dense web of
 shift-and-add partial products in one pipelined pass (paper Eq. 3/5).
-The software analogue has two interchangeable realizations of the same
-stage contract ``out[b, k, m] = Σ_i  M[k, i] · x[b, i, m]  (mod p)``:
+The software analogue has three interchangeable realizations of the
+same stage contract ``out[b, k, m] = Σ_i  M[k, i] · x[b, i, m]  (mod p)``:
 
 ``loop``
     The reference kernel: ``radix²`` interpreted iterations of
     scalar-broadcast :func:`repro.field.vector.vmul` /
     :func:`~repro.field.vector.vadd`.  Bit-exact by construction and
-    kept as the exactness oracle for the fast path.
+    kept as the exactness oracle for the fast paths.
 
 ``limb-matmul``
-    The throughput kernel.  Matrix and data are decomposed into four
-    16-bit limbs and the stage becomes 16 dense matmuls carried out in
-    *float64* (BLAS):
+    The numpy throughput kernel.  Matrix and data are decomposed into
+    four 16-bit limbs and the stage becomes 16 dense matmuls carried
+    out in *float64* (BLAS):
 
     - every limb product is ``< 2**32`` and a row sums ``radix ≤ 64``
       of them, so each partial-product accumulation is ``< 2**38``;
@@ -28,40 +28,63 @@ stage contract ``out[b, k, m] = Σ_i  M[k, i] · x[b, i, m]  (mod p)``:
       :func:`repro.field.vector._reduce_wide` (paper Eq. 4), and the
       ``w = 6`` plane uses ``2**96 ≡ −1 (mod p)``.
 
+``compiled``
+    The C kernel of :mod:`repro.native`.  Every stage matrix our plans
+    build has the form ``diag(r)·F_R(ω)·diag(c)``: the pure R-point DFT
+    with the fused negacyclic ψ column scales ``c`` and the ψ⁻¹ /
+    ``n^{-1}`` row scales ``r``.  :func:`factor_stage` recovers
+    ``(ω, c, r)`` once per stage and checks the factorisation entry by
+    entry; the kernel then runs an in-place radix-2 FFT along the radix
+    axis, ``O(R log R)`` instead of ``O(R²)`` per column, applying
+    ``c`` on load and ``r`` on store.  When ω is a power of two (R
+    divides 192, so every default radix) its twiddles are shifts —
+    the paper's Eq. 3–5 trick; any other root uses precomputed powers.
+    A matrix that does not factor (a hand-built spec) runs on
+    ``limb-matmul``.  Field arithmetic is exact, so the result is
+    bit-identical to the other two kernels.
+
 The backend is chosen per plan (``plan_for_size(..., kernel=...)``),
 with the :data:`KERNEL_ENV_VAR` environment variable overriding the
-default for unpinned callers.
+default for unpinned callers.  The default is ``compiled`` whenever
+the library builds and loads on this host, else ``limb-matmul``; an
+explicit ``compiled`` request on a host where it does not build raises
+:class:`repro.native.CompileError` instead of falling back.
 
-Both kernels are *constant-agnostic*: a stage matrix is any canonical
+All kernels are *constant-agnostic*: a stage matrix is any canonical
 uint64 residue matrix, so the fused negacyclic stage specs
 (:func:`repro.ntt.plan._fuse_negacyclic` scales DFT columns/rows and
 twiddle tables by ψ-twist factors mod p) run through the identical
-code paths and the identical exactness argument — limb products and
-weight-plane sums depend only on the 16-bit limb geometry and the
-radix, never on which constants fill the matrix, so every fused
-accumulation stays below the same ``2**40 ≪ 2**53`` bound.  The
+code paths — limb products and weight-plane sums depend only on the
+16-bit limb geometry and the radix, never on which constants fill the
+matrix, so every fused accumulation stays below the same
+``2**40 ≪ 2**53`` bound, and the fused scales are exactly the ``c``
+and ``r`` of the compiled kernel's factorisation.  The
 permutation-free DIT inverse stages (:func:`repro.ntt.plan._decimate`
 transposes each inverse matrix and folds ψ⁻¹/``n^{-1}`` row scales
 into it) lean on the same property: ``StageSpec`` rebuilds the limb
-planes of whatever matrix it is handed, and the kernels never ask
-where the constants came from.
+planes and the factorisation of whatever matrix it is handed, and the
+kernels never ask where the constants came from.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro import native
+from repro.field.roots import is_primitive_root, shift_amount_for_power
+from repro.field.solinas import P, inverse
 from repro.field.vector import _reduce_wide, vadd, vmul, vsub
 
 KERNEL_LOOP = "loop"
 KERNEL_LIMB_MATMUL = "limb-matmul"
+KERNEL_COMPILED = "compiled"
 #: Environment variable overriding the default backend for plans built
 #: without an explicit ``kernel=`` argument.
 KERNEL_ENV_VAR = "REPRO_NTT_KERNEL"
-_BUILTIN_DEFAULT = KERNEL_LIMB_MATMUL
 
 #: Limb geometry of the fast kernel: 4 × 16-bit planes cover uint64.
 LIMB_BITS = 16
@@ -80,30 +103,148 @@ _CHUNK_ELEMS = 1 << 15
 
 
 def available_kernels() -> Tuple[str, ...]:
-    """The selectable stage-kernel backend names."""
-    return (KERNEL_LOOP, KERNEL_LIMB_MATMUL)
+    """The selectable stage-kernel backend names on this host:
+    ``compiled`` is listed only when :mod:`repro.native` loads."""
+    names = (KERNEL_LOOP, KERNEL_LIMB_MATMUL)
+    return names + (KERNEL_COMPILED,) if native.available() else names
 
 
 def default_kernel() -> str:
     """The backend used when a plan does not pin one.
 
-    Honors :data:`KERNEL_ENV_VAR` (``loop`` / ``limb-matmul``), falling
-    back to ``limb-matmul``.
+    Honors :data:`KERNEL_ENV_VAR`, falling back to ``compiled`` when
+    the library loads and to ``limb-matmul`` otherwise.
     """
     name = os.environ.get(KERNEL_ENV_VAR)
-    return resolve_kernel(name) if name else _BUILTIN_DEFAULT
+    if name:
+        return resolve_kernel(name)
+    return KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
 
 
 def resolve_kernel(name: Optional[str]) -> str:
-    """Validate a backend name; ``None`` resolves to the default."""
+    """Validate a backend name; ``None`` resolves to the default.
+
+    ``compiled`` on a host where the library does not build raises
+    :class:`repro.native.CompileError` with the compiler's failure.
+    """
     if name is None:
         return default_kernel()
+    if name == KERNEL_COMPILED:
+        native.load()
+        return name
     if name not in available_kernels():
         raise ValueError(
             f"unknown NTT kernel {name!r}; "
             f"expected one of {available_kernels()}"
         )
     return name
+
+
+@dataclass(frozen=True)
+class StageFactors:
+    """A stage matrix as ``diag(row_scale)·F_R(ω)·diag(col_scale)``,
+    in the table form the compiled kernel takes."""
+
+    #: ``ω^j`` for ``j < R/2`` (uint64).
+    powers: np.ndarray
+    #: ``s_j`` with ``ω^j = 2**s_j`` (uint8, ``s_j < 192``) when ω is a
+    #: power of two, else ``None``.
+    shifts: Optional[np.ndarray]
+    #: Column scales ``c`` (uint64), ``None`` when all ones.
+    col_scale: Optional[np.ndarray]
+    #: Row scales ``r`` (uint64), ``None`` when all ones.
+    row_scale: Optional[np.ndarray]
+
+    def __post_init__(self) -> None:
+        # The C kernel trusts these tables; check them once, here.
+        half = len(self.powers)
+        tables = [(self.powers, np.uint64, half)]
+        if self.shifts is not None:
+            tables.append((self.shifts, np.uint8, half))
+        for scale in (self.col_scale, self.row_scale):
+            if scale is not None:
+                tables.append((scale, np.uint64, 2 * half))
+        for table, dtype, length in tables:
+            if not (
+                isinstance(table, np.ndarray)
+                and table.dtype == dtype
+                and table.shape == (length,)
+                and table.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"stage factor tables must be C-contiguous {length}-entry "
+                    f"arrays ({dtype.__name__}); radix {2 * half}"
+                )
+        if half == 0 or (
+            self.shifts is not None and int(self.shifts.max()) >= 192
+        ):
+            raise ValueError("invalid stage factor tables")
+
+
+def _scale_or_none(values: np.ndarray) -> Optional[np.ndarray]:
+    return None if np.all(values == 1) else np.ascontiguousarray(values)
+
+
+def factor_stage(matrix: np.ndarray) -> Optional[StageFactors]:
+    """Factor a radix-R stage matrix for the compiled kernel.
+
+    Gauge: when row 0 is constant the whole scale goes to the rows
+    (``c = 1``, ``r_k = M[k, 0]``), else ``r_0 = 1``, ``c = M[0, :]``
+    and ``r_k = M[k, 0] / c_0``; then ``ω = M[1, 1] / (r_1·c_1)``.  The
+    factorisation is accepted only when ``R`` is a power of two, ω is a
+    primitive R-th root of unity and the rebuilt matrix equals
+    ``matrix`` entry by entry; otherwise ``None``.
+    """
+    matrix = np.asarray(matrix)
+    radix = len(matrix) if matrix.ndim else 0
+    if (
+        matrix.dtype != np.uint64
+        or matrix.shape != (radix, radix)
+        or radix < 2
+        or radix & (radix - 1)
+        or matrix[0, 0] == 0
+        or matrix[1, 0] == 0
+        or matrix[0, 1] == 0
+    ):
+        return None
+    if np.all(matrix[0] == matrix[0, 0]):
+        cols = np.ones(radix, dtype=np.uint64)
+        rows = matrix[:, 0].copy()
+    else:
+        cols = matrix[0].copy()
+        rows = vmul(
+            matrix[:, 0],
+            np.broadcast_to(np.uint64(inverse(int(cols[0]))), (radix,)),
+        )
+    omega = int(matrix[1, 1]) * inverse(int(rows[1]) * int(cols[1])) % P
+    if not is_primitive_root(omega, radix):
+        return None
+    powers = np.empty(radix, dtype=np.uint64)
+    value = 1
+    for j in range(radix):
+        powers[j] = value
+        value = value * omega % P
+    index = np.arange(radix)
+    dft = powers[np.outer(index, index) % radix]
+    rebuilt = vmul(
+        vmul(dft, np.broadcast_to(rows[:, np.newaxis], dft.shape)),
+        np.broadcast_to(cols[np.newaxis, :], dft.shape),
+    )
+    if not np.array_equal(rebuilt, matrix):
+        return None
+    try:
+        shifts = np.array(
+            [shift_amount_for_power(omega, j) for j in range(radix // 2)],
+            dtype=np.uint8,
+        )
+    except ValueError:  # ω is not a power of two: multiply by powers
+        shifts = None
+    return StageFactors(
+        powers=np.ascontiguousarray(powers[: radix // 2]),
+        shifts=shifts,
+        col_scale=_scale_or_none(cols),
+        row_scale=_scale_or_none(rows),
+    )
 
 
 def limb_decompose_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -264,9 +405,24 @@ def _run_limb_matmul(
     return stage_dft_limb_matmul(block_view, stage.dft_limbs, out=out)
 
 
+def _run_compiled(block_view: np.ndarray, stage, out: np.ndarray) -> np.ndarray:
+    factors = stage.factors
+    if factors is None or not native.stage_dft(
+        block_view,
+        out,
+        factors.powers,
+        factors.shifts,
+        factors.col_scale,
+        factors.row_scale,
+    ):
+        return _run_limb_matmul(block_view, stage, out)
+    return out
+
+
 _EXECUTORS: dict = {
     KERNEL_LOOP: _run_loop,
     KERNEL_LIMB_MATMUL: _run_limb_matmul,
+    KERNEL_COMPILED: _run_compiled,
 }
 
 

@@ -25,7 +25,12 @@ import numpy as np
 from repro.field.roots import root_of_unity
 from repro.field.solinas import P, inverse, pow_mod
 from repro.field.vector import to_field_array, vmul
-from repro.ntt.kernels import limb_decompose_matrix, resolve_kernel
+from repro.ntt.kernels import (
+    StageFactors,
+    factor_stage,
+    limb_decompose_matrix,
+    resolve_kernel,
+)
 
 #: The paper's operating point (Section III).
 PAPER_TRANSFORM_SIZE = 65536
@@ -73,11 +78,22 @@ class StageSpec:
     dft_limbs: Optional[np.ndarray] = field(
         default=None, compare=False, repr=False
     )
+    #: ``dft_matrix`` factored as ``diag(r)·F_R(ω)·diag(c)`` for the
+    #: ``compiled`` kernel (:func:`repro.ntt.kernels.factor_stage`,
+    #: checked entry by entry); ``None`` when it does not factor, and
+    #: the stage then runs on ``limb-matmul``.
+    factors: Optional[StageFactors] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.dft_limbs is None:
             object.__setattr__(
                 self, "dft_limbs", limb_decompose_matrix(self.dft_matrix)
+            )
+        if self.factors is None:
+            object.__setattr__(
+                self, "factors", factor_stage(self.dft_matrix)
             )
 
 
@@ -99,9 +115,10 @@ class TransformPlan:
     inverse_plan: Optional["TransformPlan"] = field(
         default=None, compare=False, repr=False
     )
-    #: Stage-DFT backend the executor dispatches on: ``"loop"`` or
-    #: ``"limb-matmul"`` (see :mod:`repro.ntt.kernels`).  An empty
-    #: string resolves to the process default at construction.
+    #: Stage-DFT backend the executor dispatches on: ``"loop"``,
+    #: ``"limb-matmul"`` or ``"compiled"`` (see
+    #: :mod:`repro.ntt.kernels`).  An empty string resolves to the
+    #: process default at construction.
     kernel: str = field(default="", compare=False)
     #: ``""`` for a plain cyclic plan; :data:`TWIST_NEGACYCLIC` when the
     #: negacyclic ψ-twist/untwist (and the inverse ``n^{-1}`` scale) are
@@ -556,10 +573,10 @@ class PlanCache:
         final stage, mirroring the paper's preference for high radices.
         The returned plan carries a matching ``inverse_plan``.
 
-        ``kernel`` pins the stage-DFT backend (``"loop"`` or
-        ``"limb-matmul"``); ``None`` resolves through the
-        ``REPRO_NTT_KERNEL`` environment variable, defaulting to
-        ``limb-matmul``.
+        ``kernel`` pins the stage-DFT backend (``"loop"``,
+        ``"limb-matmul"`` or ``"compiled"``); ``None`` resolves through
+        the ``REPRO_NTT_KERNEL`` environment variable, defaulting to
+        ``compiled`` when its C library loads, else ``limb-matmul``.
 
         ``twist=TWIST_NEGACYCLIC`` returns the fused negacyclic variant
         (ψ-twist folded into the first-stage constants, ψ⁻¹-untwist and

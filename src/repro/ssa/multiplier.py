@@ -58,10 +58,10 @@ class SSAMultiplier:
         ``(64, 64, 16)`` when the transform size is 64K, otherwise a
         greedy high-radix plan.
     kernel:
-        Stage-DFT backend for the NTT plan (``"loop"`` or
-        ``"limb-matmul"``); ``None`` resolves through the
-        ``REPRO_NTT_KERNEL`` environment variable, defaulting to
-        ``limb-matmul``.
+        Stage-DFT backend for the NTT plan (``"loop"``,
+        ``"limb-matmul"`` or ``"compiled"``); ``None`` resolves through
+        the ``REPRO_NTT_KERNEL`` environment variable, defaulting to
+        ``compiled`` when its C library loads, else ``limb-matmul``.
     plan:
         A prebuilt :class:`~repro.ntt.plan.TransformPlan` to use
         instead of consulting the module-global plan cache — this is

@@ -21,7 +21,7 @@ before trusting any number the library prints:
     ordering intact;
 11. fused negacyclic plans (ψ-twist folded into stage constants)
     bit-identical to the explicit-twist ``loop``-kernel oracle, on
-    both stage kernels and through the hw-model ring;
+    every stage kernel this host runs and through the hw-model ring;
 12. permutation-free (decimated) plan pairs: DIF-forward spectra are
     the natural spectra under the digit-reversal permutation, and
     cyclic/fused-negacyclic convolutions through the DIT inverse are
@@ -274,6 +274,7 @@ def _check_negacyclic_fused() -> CheckResult:
 
     from repro.engine import Engine
     from repro.field.solinas import P
+    from repro.ntt.kernels import available_kernels
     from repro.ntt.negacyclic import negacyclic_convolution_many
     from repro.ntt.plan import TWIST_NEGACYCLIC, plan_for_size
 
@@ -301,7 +302,7 @@ def _check_negacyclic_fused() -> CheckResult:
                 ),
             ),
         )
-        for kernel in ("loop", "limb-matmul")
+        for kernel in available_kernels()
     )
     # The hw ring uses the default shift-only radices ((16, 16) at 256
     # points); the ring product is factorization-independent.

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import native
 from repro.engine import (
     Engine,
     ExecutionConfig,
@@ -29,7 +30,12 @@ from repro.fhe.ops import he_mult, he_mult_many
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.ntt.convolution import cyclic_convolution
-from repro.ntt.kernels import KERNEL_ENV_VAR, KERNEL_LIMB_MATMUL, KERNEL_LOOP
+from repro.ntt.kernels import (
+    KERNEL_COMPILED,
+    KERNEL_ENV_VAR,
+    KERNEL_LIMB_MATMUL,
+    KERNEL_LOOP,
+)
 from repro.ntt.negacyclic import negacyclic_convolution
 from repro.ntt.plan import plan_cache_stats
 from repro.ntt.staged import execute_plan, execute_plan_inverse
@@ -43,7 +49,9 @@ class TestExecutionConfig:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         config = ExecutionConfig.default()
-        assert config.kernel == KERNEL_LIMB_MATMUL
+        assert config.kernel == (
+            KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
+        )
         assert config.cache == "private"
         assert config.pes == 4
 
@@ -103,7 +111,7 @@ class TestExecutionConfig:
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert hash(clone) == hash(config)
-        assert clone.kernel == KERNEL_LIMB_MATMUL
+        assert clone.kernel == config.kernel != KERNEL_LOOP
         # double round-trip (what a respawned worker would see)
         again = pickle.loads(pickle.dumps(clone))
         assert again == config

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.field.solinas import P
 from repro.field.vector import (
     from_field_array,
@@ -243,3 +244,84 @@ class TestOutParameter:
         hi2, lo2 = _mul_wide(self.a, self.b)
         _reduce_wide(hi2, lo2, out=lo2)
         assert np.array_equal(lo2, want)
+
+
+@pytest.mark.skipif(not native.available(), reason="no C compiler")
+class TestCompiledMultiplyReduce:
+    """``native.mul_reduce`` (behind ``vmul``) against big-int products,
+    on the two layouts it takes, and declining every other layout."""
+
+    VALUES = [0, 1, P - 1, (1 << 32) - 1, (1 << 32) + 1]
+
+    def setup_method(self):
+        pairs = [(a, b) for a in self.VALUES for b in self.VALUES]
+        self.ia = [a for a, _ in pairs]
+        self.ib = [b for _, b in pairs]
+        self.a = to_field_array(self.ia)
+        self.b = to_field_array(self.ib)
+        self.want = [x * y % P for x, y in zip(self.ia, self.ib)]
+
+    def test_same_shape(self):
+        out = native.mul_reduce(self.a, self.b)
+        assert out is not None
+        assert from_field_array(out) == self.want
+
+    @pytest.mark.parametrize("alias", ["a", "b"])
+    def test_out_aliases_either_input(self, alias):
+        a, b = self.a.copy(), self.b.copy()
+        out = a if alias == "a" else b
+        assert native.mul_reduce(a, b, out=out) is out
+        assert from_field_array(out) == self.want
+
+    def test_operand_broadcast_along_leading_axes(self):
+        rows = to_field_array(self.VALUES * 3).reshape(3, 1, 5)
+        table = to_field_array(self.VALUES)
+        want = [[[x * y % P for x, y in zip(self.VALUES, self.VALUES)]]] * 3
+        for b in (
+            table,  # fewer dimensions
+            table[np.newaxis, np.newaxis, :],  # size-1 leading axes
+            np.broadcast_to(table, (3, 1, 5)),  # zero-stride leading axis
+        ):
+            for x, y in ((rows, b), (b, rows)):  # either operand order
+                out = native.mul_reduce(x, y)
+                assert out is not None and out.shape == (3, 1, 5)
+                assert out.tolist() == want
+
+    def test_scalar_broadcast(self):
+        for scalar in self.VALUES:
+            s = np.broadcast_to(np.uint64(scalar), self.a.shape)
+            out = native.mul_reduce(self.a, s)
+            assert out is not None
+            assert from_field_array(out) == [x * scalar % P for x in self.ia]
+
+    def test_broadcast_out_aliasing_the_full_operand(self):
+        rows = to_field_array(self.VALUES * 4).reshape(4, 5)
+        spectrum = rows[-1:]  # one row broadcast over the others
+        want = [
+            [x * y % P for x, y in zip(self.VALUES, self.VALUES)]
+        ] * 3
+        assert native.mul_reduce(rows[:-1], spectrum, out=rows[:-1]) is not None
+        assert rows[:-1].tolist() == want
+
+    def test_other_layouts_declined(self):
+        grid = to_field_array(self.ia).reshape(5, 5)
+        declined = [
+            (grid[:, ::2], grid[:, ::2].copy()),  # strided operand
+            (grid.T, grid),  # Fortran order
+            (grid, grid[:, :1]),  # broadcast along a trailing axis
+            (grid.astype(np.int64), grid),  # wrong dtype
+        ]
+        for x, y in declined:
+            assert native.mul_reduce(x, y) is None
+        # An out that overlaps an operand without coinciding with it.
+        flat = self.a.copy()
+        assert native.mul_reduce(flat[1:], flat[:-1], out=flat[:-1]) is None
+        # vmul still returns the exact products on a declined layout.
+        want = [x * y % P for x, y in zip(self.ia[1:], self.ia[:-1])]
+        flat = self.a.copy()
+        vmul(flat[1:], flat[:-1], out=flat[:-1])
+        assert from_field_array(flat[:-1]) == want
+
+    def test_empty(self):
+        empty = np.empty((0, 4), dtype=np.uint64)
+        assert vmul(empty, empty).shape == (0, 4)

@@ -1,29 +1,37 @@
-"""Property tests: the limb-matmul kernel is bit-identical to the loop
-kernel (repro.ntt.kernels) across radices, stage shapes and batches."""
+"""Property tests: the limb-matmul and compiled kernels are
+bit-identical to the loop kernel (repro.ntt.kernels) across radices,
+stage shapes and batches."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field.solinas import P
+from repro import native
+from repro.field.roots import root_of_unity
+from repro.field.solinas import P, pow_mod
+from repro.field.vector import vmul
 from repro.ntt.kernels import (
+    KERNEL_COMPILED,
     KERNEL_ENV_VAR,
     KERNEL_LIMB_MATMUL,
     KERNEL_LOOP,
+    StageFactors,
     available_kernels,
     default_kernel,
+    factor_stage,
     limb_decompose_matrix,
     resolve_kernel,
     stage_dft_limb_matmul,
     stage_dft_loop,
+    stage_executor,
 )
 from repro.ntt.negacyclic import (
     negacyclic_convolution_many,
     negacyclic_inverse_many,
     negacyclic_transform_many,
 )
-from repro.ntt.plan import StageSpec, plan_for_size
+from repro.ntt.plan import StageSpec, _dft_matrix, plan_for_size
 from repro.ntt.staged import (
     execute_plan_batch,
     execute_plan_inverse_batch,
@@ -43,6 +51,13 @@ EDGE_RESIDUES = [
     P - 2,
     P - (1 << 32),
 ]
+
+
+#: The fast kernels this host runs, each checked against ``loop``.
+FAST_KERNELS = [k for k in available_kernels() if k != KERNEL_LOOP]
+needs_compiled = pytest.mark.skipif(
+    not native.available(), reason="no C compiler"
+)
 
 
 def _random_block(rng, b, radix, tail, edge_bias=0.25):
@@ -124,6 +139,120 @@ class TestStageKernelEquivalence:
             stage_dft_limb_matmul(data, limbs)
 
 
+def _dft_matrix_of(radix):
+    return _dft_matrix(radix, root_of_unity(radix))
+
+
+def _scaled_dft(rng, radix, root, scale_cols, scale_rows):
+    """``diag(r)·F_R(root)·diag(c)`` with random nonzero scales — the
+    shape of every plan stage matrix, fused or not."""
+    matrix = _dft_matrix(radix, root)
+    if scale_cols:
+        cols = rng.integers(1, P, size=radix, dtype=np.uint64)
+        matrix = vmul(matrix, np.broadcast_to(cols, matrix.shape))
+    if scale_rows:
+        rows = rng.integers(1, P, size=(radix, 1), dtype=np.uint64)
+        matrix = vmul(matrix, np.broadcast_to(rows, matrix.shape))
+    return matrix
+
+
+@needs_compiled
+class TestCompiledStage:
+    """The compiled stage kernel against ``loop`` on raw stage shapes."""
+
+    def _run(self, data, matrix):
+        stage = StageSpec(
+            radix=matrix.shape[0],
+            sub_transforms=1,
+            dft_matrix=matrix,
+            twiddles=None,
+        )
+        out = np.empty_like(data)
+        assert stage_executor(KERNEL_COMPILED)(data, stage, out) is out
+        return stage, out
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        radix=st.sampled_from([2, 4, 8, 16, 32, 64, 128]),
+        b=st.integers(min_value=1, max_value=2),
+        tail=st.sampled_from([1, 2, 7, 33]),
+        scale_cols=st.booleans(),
+        scale_rows=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_scaled_dft_matrices(
+        self, radix, b, tail, scale_cols, scale_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # Any primitive root: an odd power of the canonical one.
+        root = pow_mod(root_of_unity(radix), 2 * int(rng.integers(radix)) + 1)
+        matrix = _scaled_dft(rng, radix, root, scale_cols, scale_rows)
+        data = _random_block(rng, b, radix, tail)
+        stage, got = self._run(data, matrix)
+        assert stage.factors is not None
+        assert np.array_equal(got, stage_dft_loop(data, matrix))
+
+    def test_shift_twiddles_only_for_powers_of_two(self):
+        """Radix 64 roots are powers of two (64 divides 192); a radix
+        128 root is not, and runs on precomputed powers."""
+        for n, shifted in ((64, True), (128, False)):
+            plan = plan_for_size(n, (n,), kernel=KERNEL_COMPILED)
+            factors = plan.stages[0].factors
+            assert (factors.shifts is not None) == shifted
+
+    def test_edge_residues(self):
+        """Inputs of only 0, 1 and p−1 (and non-canonical words, which
+        every kernel reduces) through scaled and unscaled stages."""
+        rng = np.random.default_rng(11)
+        for radix in (8, 64):
+            matrix = _scaled_dft(rng, radix, root_of_unity(radix), True, True)
+            for value in (0, 1, P - 1):
+                data = np.full((2, radix, 3), np.uint64(value))
+                _, got = self._run(data, matrix)
+                assert np.array_equal(got, stage_dft_loop(data, matrix))
+            data = rng.choice(
+                np.array([0, 1, P - 1, P, 2**64 - 1], dtype=np.uint64),
+                size=(2, radix, 5),
+            )
+            _, got = self._run(data, _dft_matrix_of(radix))
+            want = stage_dft_limb_matmul(
+                data, limb_decompose_matrix(_dft_matrix_of(radix))
+            )
+            assert np.array_equal(got, want)
+
+    def test_unstructured_matrix_runs_limb_matmul(self):
+        """A hand-built spec whose matrix is no scaled DFT does not
+        factor, and the compiled executor runs it on limb-matmul."""
+        rng = np.random.default_rng(12)
+        matrix = rng.integers(0, P, size=(8, 8), dtype=np.uint64)
+        assert factor_stage(matrix) is None
+        data = _random_block(rng, 3, 8, 5)
+        stage, got = self._run(data, matrix)
+        assert stage.factors is None
+        assert np.array_equal(got, stage_dft_loop(data, matrix))
+
+    def test_factor_tables_checked_before_any_call_into_c(self):
+        ones = np.ones(4, dtype=np.uint64)
+        bad = [
+            dict(powers=ones, shifts=np.zeros(3, np.uint8)),  # length
+            dict(powers=ones, shifts=np.full(4, 192, np.uint8)),  # range
+            dict(powers=ones.astype(np.int64), shifts=None),  # dtype
+            dict(powers=ones, shifts=None, col_scale=ones),  # radix 8
+            dict(powers=np.ones(8, np.uint64)[::2], shifts=None),  # stride
+        ]
+        for tables in bad:
+            tables.setdefault("col_scale", None)
+            with pytest.raises(ValueError):
+                StageFactors(row_scale=None, **tables)
+
+    def test_layout_it_does_not_take_runs_limb_matmul(self):
+        rng = np.random.default_rng(13)
+        matrix = _dft_matrix_of(16)
+        data = _random_block(rng, 2, 16, 8)[:, :, ::2]  # not contiguous
+        _, got = self._run(data, matrix)
+        assert np.array_equal(got, stage_dft_loop(data, matrix))
+
+
 #: (size, radices) spanning radix shapes and stage counts (2–64).
 CONFIGS = [
     (16, (4, 4)),
@@ -138,18 +267,19 @@ CONFIGS = [
 
 
 class TestPlanEquivalence:
-    """Full plans: limb-matmul transforms == loop transforms."""
+    """Full plans: limb-matmul and compiled transforms == loop."""
 
     @settings(max_examples=30, deadline=None)
     @given(
         config=st.sampled_from(CONFIGS),
+        kernel=st.sampled_from(FAST_KERNELS),
         batch=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_forward_and_inverse(self, config, batch, seed):
+    def test_forward_and_inverse(self, config, kernel, batch, seed):
         n, radices = config
         loop_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(n, radices, kernel=KERNEL_LIMB_MATMUL)
+        fast_plan = plan_for_size(n, radices, kernel=kernel)
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
         want = execute_plan_batch(matrix, loop_plan)
@@ -160,16 +290,48 @@ class TestPlanEquivalence:
             execute_plan_inverse_batch(got, fast_plan),
         )
 
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_empty_and_single_batches(self, kernel, batch):
+        loop_plan = plan_for_size(1024, (64, 16), kernel=KERNEL_LOOP)
+        fast_plan = plan_for_size(1024, (64, 16), kernel=kernel)
+        rng = np.random.default_rng(batch)
+        matrix = rng.integers(0, P, size=(batch, 1024), dtype=np.uint64)
+        want = execute_plan_batch(matrix, loop_plan)
+        got = execute_plan_batch(matrix, fast_plan)
+        assert got.shape == (batch, 1024)
+        assert np.array_equal(want, got)
+        assert np.array_equal(
+            execute_plan_inverse_batch(want, loop_plan),
+            execute_plan_inverse_batch(got, fast_plan),
+        )
+
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    @pytest.mark.parametrize("value", [0, 1, P - 1])
+    def test_constant_residues(self, kernel, value):
+        loop_plan = plan_for_size(256, (16, 16), kernel=KERNEL_LOOP)
+        fast_plan = plan_for_size(256, (16, 16), kernel=kernel)
+        matrix = np.full((2, 256), np.uint64(value))
+        assert np.array_equal(
+            execute_plan_batch(matrix, loop_plan),
+            execute_plan_batch(matrix, fast_plan),
+        )
+        assert np.array_equal(
+            execute_plan_inverse_batch(matrix, loop_plan),
+            execute_plan_inverse_batch(matrix, fast_plan),
+        )
+
     @settings(max_examples=15, deadline=None)
     @given(
         config=st.sampled_from(CONFIGS[:6]),
+        kernel=st.sampled_from(FAST_KERNELS),
         batch=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_negacyclic_wrappers(self, config, batch, seed):
+    def test_negacyclic_wrappers(self, config, kernel, batch, seed):
         n, radices = config
         loop_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(n, radices, kernel=KERNEL_LIMB_MATMUL)
+        fast_plan = plan_for_size(n, radices, kernel=kernel)
         rng = np.random.default_rng(seed)
         a = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
         b = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
@@ -188,11 +350,17 @@ class TestPlanEquivalence:
 
 class TestBackendSelection:
     def test_available(self):
-        assert set(available_kernels()) == {KERNEL_LOOP, KERNEL_LIMB_MATMUL}
+        compiled = {KERNEL_COMPILED} if native.available() else set()
+        assert set(available_kernels()) == {
+            KERNEL_LOOP,
+            KERNEL_LIMB_MATMUL,
+        } | compiled
 
-    def test_default_is_limb_matmul(self, monkeypatch):
+    def test_default_is_compiled_when_library_loads(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert default_kernel() == KERNEL_LIMB_MATMUL
+        assert default_kernel() == (
+            KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
+        )
 
     def test_env_var_override(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LOOP)
@@ -241,8 +409,6 @@ class TestBackendSelection:
         assert np.array_equal(
             stage.dft_limbs, limb_decompose_matrix(matrix)
         )
-        from repro.ntt.kernels import stage_executor
-
         data = rng.integers(0, P, size=(2, 4, 3), dtype=np.uint64)
         out = np.empty_like(data)
         stage_executor(KERNEL_LIMB_MATMUL)(data, stage, out)

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from repro.engine import Engine
 from repro.field.solinas import P
 from repro.ntt.convolution import cyclic_convolution_many
-from repro.ntt.kernels import KERNEL_LIMB_MATMUL, KERNEL_LOOP
+from repro.ntt.kernels import (
+    KERNEL_LIMB_MATMUL,
+    KERNEL_LOOP,
+    available_kernels,
+)
 from repro.ntt.negacyclic import (
     negacyclic_convolution,
     negacyclic_convolution_broadcast,
@@ -35,6 +39,10 @@ SHAPES = [
     (512, (8, 8, 8)),
     (1024, (64, 16)),
 ]
+
+
+#: Every kernel this host runs: ``compiled`` too when it builds.
+KERNELS = list(available_kernels())
 
 
 def _rows(rng, batch, n):
@@ -101,7 +109,7 @@ class TestFusedEquivalence:
     """Fused plans == explicit-twist loop oracle, bit for bit."""
 
     @pytest.mark.parametrize("n,radices", SHAPES)
-    @pytest.mark.parametrize("kernel", [KERNEL_LOOP, KERNEL_LIMB_MATMUL])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_forward_inverse_roundtrip(self, n, radices, kernel):
         rng = np.random.default_rng(n * 7 + len(radices))
         fused = plan_for_size(n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC)
@@ -150,7 +158,7 @@ class TestFusedEquivalence:
         rng = np.random.default_rng(seed)
         rows = _rows(rng, batch, n)
         oracle = negacyclic_transform_many(rows, _oracle_plan(n, radices))
-        for kernel in (KERNEL_LOOP, KERNEL_LIMB_MATMUL):
+        for kernel in KERNELS:
             fused = plan_for_size(
                 n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC
             )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.engine import Engine, ExecutionConfig
 from repro.field.solinas import P
 from repro.ntt.convolution import cyclic_convolution_many
-from repro.ntt.kernels import KERNEL_LIMB_MATMUL, KERNEL_LOOP
+from repro.ntt.kernels import KERNEL_LOOP, available_kernels
 from repro.ntt.negacyclic import (
     negacyclic_convolution_broadcast,
     negacyclic_convolution_many,
@@ -37,7 +37,8 @@ SHAPES = [
     (1024, (64, 16)),
 ]
 
-KERNELS = [KERNEL_LOOP, KERNEL_LIMB_MATMUL]
+#: Every kernel this host runs: ``compiled`` too when it builds.
+KERNELS = list(available_kernels())
 
 
 def _rows(rng, batch, n):
