@@ -7,8 +7,7 @@
  *               full 128-bit product);
  *   stage_dft   one plan stage diag(r) . F_R(w) . diag(c) along the
  *               radix axis of a (blocks, radix, tail) array, run as an
- *               in-place radix-2 FFT whose twiddles are shifts when w
- *               is a power of two (paper Eq. 3-5).
+ *               in-place radix-2 FFT over precomputed powers of w.
  *
  * The caller validates every pointer, shape and table in Python.  All
  * results are canonical residues; inputs may be any uint64 (they are
@@ -69,19 +68,6 @@ static inline u64 sub_mod(u64 a, u64 b)
     return a - b + (P & MASK(a < b));
 }
 
-/* x * 2^k mod p for 0 <= k < 96, by shifts and the Eq. 4 fold.  From
- * 64 on, with y = x * 2^(k-64) = yh*2^64 + yl (yh < 2^32), 2^64 ==
- * 2^32 - 1 and 2^128 == -2^32 give x * 2^k == yl*(2^32 - 1) - yh*2^32,
- * where yh*2^32 < p is already canonical. */
-static inline u64 mul_pow2(u64 x, unsigned k)
-{
-    if (k < 64)
-        return reduce_wide((x >> 1) >> (63 - k), x << k);
-    unsigned j = k - 64;
-    u64 yl = x << j, yh = (x >> 1) >> (63 - j);
-    return sub_mod(reduce128(((u128)yl << 32) - yl), yh << 32);
-}
-
 /* out[i] = a[i] * b[i % period] mod p for i < n; n is a multiple of
  * period, and out may be a itself. */
 void mul_reduce(const u64 *a, const u64 *b, u64 *out, size_t n, size_t period)
@@ -101,19 +87,18 @@ void mul_reduce(const u64 *a, const u64 *b, u64 *out, size_t n, size_t period)
 }
 
 /* Radix-2 butterflies on rows u, v of a tile: (u, v) <- (u + w*v,
- * u - w*v), with w*v computed by MULTIPLY; NEGATE swaps the add and the
- * subtract, which is how a shift twiddle 2^(96 + k) == -2^k enters. */
-#define BUTTERFLY(MULTIPLY, NEGATE)                                         \
+ * u - w*v), with w*v computed by TWIDDLED. */
+#define BUTTERFLIES(TWIDDLED)                                               \
     for (size_t t = 0; t < width; t++) {                                    \
-        u64 a = u[t], b = MULTIPLY;                                         \
-        u[t] = NEGATE ? sub_mod(a, b) : add_mod(a, b);                      \
-        v[t] = NEGATE ? add_mod(a, b) : sub_mod(a, b);                      \
+        u64 a = u[t], b = TWIDDLED;                                         \
+        u[t] = add_mod(a, b);                                               \
+        v[t] = sub_mod(a, b);                                               \
     }
 
 /* In-place decimation-in-time FFT over the rows of a (radix, width)
  * tile held in bit-reversed row order; emits natural order. */
 static inline void fft_tile(u64 *tile, size_t radix, size_t width,
-                            const u64 *powers, const uint8_t *shifts)
+                            const u64 *powers)
 {
     for (size_t half = 1; half < radix; half <<= 1) {
         size_t stride = radix / (2 * half);
@@ -121,18 +106,11 @@ static inline void fft_tile(u64 *tile, size_t radix, size_t width,
             for (size_t j = 0; j < half; j++) {
                 u64 *restrict u = tile + (group + j) * width;
                 u64 *restrict v = u + half * width;
-                size_t e = j * stride;
-                if (e == 0) {
-                    BUTTERFLY(v[t], 0)
-                } else if (!shifts) {
-                    u64 w = powers[e];
-                    BUTTERFLY(mul_mod(v[t], w), 0)
-                } else if (shifts[e] < 96) {
-                    unsigned k = shifts[e];
-                    BUTTERFLY(mul_pow2(v[t], k), 0)
+                u64 w = powers[j * stride];
+                if (j == 0) {
+                    BUTTERFLIES(v[t])
                 } else {
-                    unsigned k = shifts[e] - 96u;
-                    BUTTERFLY(mul_pow2(v[t], k), 1)
+                    BUTTERFLIES(mul_mod(v[t], w))
                 }
             }
         }
@@ -143,9 +121,8 @@ static inline void fft_tile(u64 *tile, size_t radix, size_t width,
  * out[b, k, :] = r[k] * sum_i w^(k*i) * c[i] * x[b, i, :]  (mod p)
  *
  * x and out are C-contiguous (blocks, radix, tail) arrays that do not
- * overlap; radix is a power of two >= 2.  The twiddle w^j (j < radix/2)
- * is 2^shifts[j] when shifts is non-NULL, else powers[j].  c and r are
- * NULL when they are all ones.
+ * overlap; radix is a power of two >= 2 and powers[j] = w^j for
+ * j < radix/2.  c and r are NULL when they are all ones.
  *
  * Work goes through an L1-sized (radix, TILE) tile buffer: TILE
  * columns of one block when tail >= TILE, else whole tails of
@@ -156,8 +133,8 @@ static inline void fft_tile(u64 *tile, size_t radix, size_t width,
  * Returns 0, or -1 when the tile buffer cannot be allocated.
  */
 int stage_dft(const u64 *x, u64 *out, size_t blocks, size_t radix,
-              size_t tail, const u64 *powers, const uint8_t *shifts,
-              const u64 *c, const u64 *r)
+              size_t tail, const u64 *powers, const u64 *c,
+              const u64 *r)
 {
     size_t bits = 0;
     while (((size_t)1 << bits) < radix)
@@ -195,7 +172,7 @@ int stage_dft(const u64 *x, u64 *out, size_t blocks, size_t radix,
                     }
                 }
             }
-            fft_tile(tile, radix, width, powers, shifts);
+            fft_tile(tile, radix, width, powers);
             for (size_t k = 0; k < radix; k++) {
                 const u64 *src = tile + k * width;
                 u64 rk = r ? r[k] : 1;

@@ -31,6 +31,7 @@ import subprocess
 import sysconfig
 import tempfile
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -119,7 +120,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     size, ptr = ctypes.c_size_t, ctypes.c_void_p
     lib.mul_reduce.argtypes = [ptr, ptr, ptr, size, size]
     lib.mul_reduce.restype = None
-    lib.stage_dft.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr, ptr]
+    lib.stage_dft.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr]
     lib.stage_dft.restype = ctypes.c_int
     return lib
 
@@ -244,34 +245,72 @@ def mul_reduce(
                 period == size and operand.ctypes.data == target
             ):
                 return None
-    lib.mul_reduce(a.ctypes.data, b.ctypes.data, out.ctypes.data, size, period_b)
+    if size:
+        lib.mul_reduce(
+            a.ctypes.data, b.ctypes.data, out.ctypes.data, size, period_b
+        )
     return out
 
 
-def stage_dft(
-    x: np.ndarray,
-    out: np.ndarray,
-    powers: np.ndarray,
-    shifts: Optional[np.ndarray],
-    col_scale: Optional[np.ndarray],
-    row_scale: Optional[np.ndarray],
-) -> bool:
+@dataclass(frozen=True)
+class StageFactors:
+    """A stage matrix as ``diag(row_scale)·F_R(ω)·diag(col_scale)``, in
+    the table form :func:`stage_dft` takes.
+
+    The C kernel trusts these tables, so they are checked once, here:
+    C-contiguous uint64 arrays, ``R/2`` powers for a power-of-two radix
+    ``R ≥ 2`` and ``R`` entries per scale.
+    """
+
+    #: ``ω^j`` for ``j < R/2``.
+    powers: np.ndarray
+    #: Column scales ``c``, ``None`` when all ones.
+    col_scale: Optional[np.ndarray] = None
+    #: Row scales ``r``, ``None`` when all ones.
+    row_scale: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        half = (
+            len(self.powers)
+            if isinstance(self.powers, np.ndarray) and self.powers.ndim == 1
+            else 0
+        )
+        tables = [(self.powers, half)] + [
+            (scale, 2 * half)
+            for scale in (self.col_scale, self.row_scale)
+            if scale is not None
+        ]
+        if half == 0 or half & (half - 1) or not all(
+            isinstance(table, np.ndarray)
+            and table.dtype == np.uint64
+            and table.shape == (length,)
+            and table.flags.c_contiguous
+            for table, length in tables
+        ):
+            raise ValueError(
+                "stage factor tables must be C-contiguous uint64 arrays: "
+                "R/2 powers for a power-of-two radix R >= 2 and R-entry "
+                "scales"
+            )
+
+    @property
+    def radix(self) -> int:
+        return 2 * len(self.powers)
+
+
+def stage_dft(x: np.ndarray, out: np.ndarray, factors: StageFactors) -> bool:
     """Run one factored stage into ``out``; ``False`` (nothing written)
     when ``x``/``out`` are not non-overlapping C-contiguous uint64
-    ``(blocks, radix, tail)`` arrays of one shape.
-
-    The tables are a :class:`repro.ntt.kernels.StageFactors`, which
-    checks them at construction; this checks the data arrays against
-    them.
-    """
+    ``(blocks, factors.radix, tail)`` arrays of one shape."""
     if not (
-        isinstance(x, np.ndarray)
+        isinstance(factors, StageFactors)
+        and isinstance(x, np.ndarray)
         and isinstance(out, np.ndarray)
         and x.dtype == np.uint64
         and out.dtype == np.uint64
         and x.ndim == 3
         and out.shape == x.shape
-        and x.shape[1] == 2 * len(powers)
+        and x.shape[1] == factors.radix
         and x.flags.c_contiguous
         and out.flags.c_contiguous
         and out.flags.writeable
@@ -281,14 +320,14 @@ def stage_dft(
     blocks, radix, tail = x.shape
     if blocks == 0 or tail == 0:
         return True
+    col_scale, row_scale = factors.col_scale, factors.row_scale
     status = load().stage_dft(
         x.ctypes.data,
         out.ctypes.data,
         blocks,
         radix,
         tail,
-        powers.ctypes.data,
-        None if shifts is None else shifts.ctypes.data,
+        factors.powers.ctypes.data,
         None if col_scale is None else col_scale.ctypes.data,
         None if row_scale is None else row_scale.ctypes.data,
     )

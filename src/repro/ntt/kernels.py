@@ -35,10 +35,11 @@ same stage contract ``out[b, k, m] = Σ_i  M[k, i] · x[b, i, m]  (mod p)``:
     ``n^{-1}`` row scales ``r``.  :func:`factor_stage` recovers
     ``(ω, c, r)`` once per stage and checks the factorisation entry by
     entry; the kernel then runs an in-place radix-2 FFT along the radix
-    axis, ``O(R log R)`` instead of ``O(R²)`` per column, applying
-    ``c`` on load and ``r`` on store.  When ω is a power of two (R
-    divides 192, so every default radix) its twiddles are shifts —
-    the paper's Eq. 3–5 trick; any other root uses precomputed powers.
+    axis, ``O(R log R)`` instead of ``O(R²)`` per column, with
+    twiddles from a table of precomputed powers of ω, applying ``c``
+    on load and ``r`` on store.  The tables are a
+    :class:`repro.native.StageFactors`, checked at construction before
+    any pointer reaches C.
     A matrix that does not factor (a hand-built spec) runs on
     ``limb-matmul``.  Field arithmetic is exact, so the result is
     bit-identical to the other two kernels.
@@ -69,15 +70,15 @@ kernels never ask where the constants came from.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro import native
-from repro.field.roots import is_primitive_root, shift_amount_for_power
+from repro.field.roots import is_primitive_root
 from repro.field.solinas import P, inverse
 from repro.field.vector import _reduce_wide, vadd, vmul, vsub
+from repro.native import StageFactors
 
 KERNEL_LOOP = "loop"
 KERNEL_LIMB_MATMUL = "limb-matmul"
@@ -140,47 +141,6 @@ def resolve_kernel(name: Optional[str]) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class StageFactors:
-    """A stage matrix as ``diag(row_scale)·F_R(ω)·diag(col_scale)``,
-    in the table form the compiled kernel takes."""
-
-    #: ``ω^j`` for ``j < R/2`` (uint64).
-    powers: np.ndarray
-    #: ``s_j`` with ``ω^j = 2**s_j`` (uint8, ``s_j < 192``) when ω is a
-    #: power of two, else ``None``.
-    shifts: Optional[np.ndarray]
-    #: Column scales ``c`` (uint64), ``None`` when all ones.
-    col_scale: Optional[np.ndarray]
-    #: Row scales ``r`` (uint64), ``None`` when all ones.
-    row_scale: Optional[np.ndarray]
-
-    def __post_init__(self) -> None:
-        # The C kernel trusts these tables; check them once, here.
-        half = len(self.powers)
-        tables = [(self.powers, np.uint64, half)]
-        if self.shifts is not None:
-            tables.append((self.shifts, np.uint8, half))
-        for scale in (self.col_scale, self.row_scale):
-            if scale is not None:
-                tables.append((scale, np.uint64, 2 * half))
-        for table, dtype, length in tables:
-            if not (
-                isinstance(table, np.ndarray)
-                and table.dtype == dtype
-                and table.shape == (length,)
-                and table.flags.c_contiguous
-            ):
-                raise ValueError(
-                    f"stage factor tables must be C-contiguous {length}-entry "
-                    f"arrays ({dtype.__name__}); radix {2 * half}"
-                )
-        if half == 0 or (
-            self.shifts is not None and int(self.shifts.max()) >= 192
-        ):
-            raise ValueError("invalid stage factor tables")
-
-
 def _scale_or_none(values: np.ndarray) -> Optional[np.ndarray]:
     return None if np.all(values == 1) else np.ascontiguousarray(values)
 
@@ -232,16 +192,8 @@ def factor_stage(matrix: np.ndarray) -> Optional[StageFactors]:
     )
     if not np.array_equal(rebuilt, matrix):
         return None
-    try:
-        shifts = np.array(
-            [shift_amount_for_power(omega, j) for j in range(radix // 2)],
-            dtype=np.uint8,
-        )
-    except ValueError:  # ω is not a power of two: multiply by powers
-        shifts = None
     return StageFactors(
         powers=np.ascontiguousarray(powers[: radix // 2]),
-        shifts=shifts,
         col_scale=_scale_or_none(cols),
         row_scale=_scale_or_none(rows),
     )
@@ -407,14 +359,7 @@ def _run_limb_matmul(
 
 def _run_compiled(block_view: np.ndarray, stage, out: np.ndarray) -> np.ndarray:
     factors = stage.factors
-    if factors is None or not native.stage_dft(
-        block_view,
-        out,
-        factors.powers,
-        factors.shifts,
-        factors.col_scale,
-        factors.row_scale,
-    ):
+    if factors is None or not native.stage_dft(block_view, out, factors):
         return _run_limb_matmul(block_view, stage, out)
     return out
 

@@ -25,8 +25,8 @@ import numpy as np
 from repro.field.roots import root_of_unity
 from repro.field.solinas import P, inverse, pow_mod
 from repro.field.vector import to_field_array, vmul
+from repro.native import StageFactors
 from repro.ntt.kernels import (
-    StageFactors,
     factor_stage,
     limb_decompose_matrix,
     resolve_kernel,
@@ -81,9 +81,10 @@ class StageSpec:
     #: ``dft_matrix`` factored as ``diag(r)·F_R(ω)·diag(c)`` for the
     #: ``compiled`` kernel (:func:`repro.ntt.kernels.factor_stage`,
     #: checked entry by entry); ``None`` when it does not factor, and
-    #: the stage then runs on ``limb-matmul``.
+    #: the stage then runs on ``limb-matmul``.  Always derived from
+    #: ``dft_matrix``, never passed in.
     factors: Optional[StageFactors] = field(
-        default=None, compare=False, repr=False
+        init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -91,10 +92,7 @@ class StageSpec:
             object.__setattr__(
                 self, "dft_limbs", limb_decompose_matrix(self.dft_matrix)
             )
-        if self.factors is None:
-            object.__setattr__(
-                self, "factors", factor_stage(self.dft_matrix)
-            )
+        object.__setattr__(self, "factors", factor_stage(self.dft_matrix))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ The stage DFT itself dispatches on the plan's *kernel backend*
 ``radix²`` multiply-accumulate web in interpreted iterations, the
 ``limb-matmul`` backend evaluates the same web as a handful of exact
 16-bit-limb float64 matmuls, and the default ``compiled`` backend runs
-it as a radix-2 FFT in C with shift twiddles — the software analogues
-of the FFT-64 unit computing a radix-64 DFT in one pipelined pass.
+it as a radix-2 FFT in C — the software analogues of the FFT-64 unit
+computing a radix-64 DFT in one pipelined pass.
 The executor ping-pongs between two preallocated working buffers and
 applies twiddles in place, so a transform allocates O(batch·n) once
 instead of churning per-stage temporaries.

@@ -53,7 +53,7 @@ def _env(**env):
 _STANDALONE = f"""
 import importlib.util, json, pathlib, sys, time
 spec = importlib.util.spec_from_file_location("native", {native.__file__!r})
-native = importlib.util.module_from_spec(spec)
+native = sys.modules["native"] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(native)
 """
 

@@ -4,7 +4,7 @@ stage shapes and batches."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import native
@@ -16,7 +16,6 @@ from repro.ntt.kernels import (
     KERNEL_ENV_VAR,
     KERNEL_LIMB_MATMUL,
     KERNEL_LOOP,
-    StageFactors,
     available_kernels,
     default_kernel,
     factor_stage,
@@ -180,6 +179,8 @@ class TestCompiledStage:
         scale_rows=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # Always run radix 128, whose roots are not powers of two.
+    @example(radix=128, b=1, tail=2, scale_cols=True, scale_rows=True, seed=0)
     def test_scaled_dft_matrices(
         self, radix, b, tail, scale_cols, scale_rows, seed
     ):
@@ -191,14 +192,6 @@ class TestCompiledStage:
         stage, got = self._run(data, matrix)
         assert stage.factors is not None
         assert np.array_equal(got, stage_dft_loop(data, matrix))
-
-    def test_shift_twiddles_only_for_powers_of_two(self):
-        """Radix 64 roots are powers of two (64 divides 192); a radix
-        128 root is not, and runs on precomputed powers."""
-        for n, shifted in ((64, True), (128, False)):
-            plan = plan_for_size(n, (n,), kernel=KERNEL_COMPILED)
-            factors = plan.stages[0].factors
-            assert (factors.shifts is not None) == shifted
 
     def test_edge_residues(self):
         """Inputs of only 0, 1 and p−1 (and non-canonical words, which
@@ -222,7 +215,8 @@ class TestCompiledStage:
 
     def test_unstructured_matrix_runs_limb_matmul(self):
         """A hand-built spec whose matrix is no scaled DFT does not
-        factor, and the compiled executor runs it on limb-matmul."""
+        factor, and the compiled executor runs it on limb-matmul; its
+        factors are always derived, never passed in."""
         rng = np.random.default_rng(12)
         matrix = rng.integers(0, P, size=(8, 8), dtype=np.uint64)
         assert factor_stage(matrix) is None
@@ -230,20 +224,28 @@ class TestCompiledStage:
         stage, got = self._run(data, matrix)
         assert stage.factors is None
         assert np.array_equal(got, stage_dft_loop(data, matrix))
+        with pytest.raises(TypeError):
+            StageSpec(
+                radix=8,
+                sub_transforms=1,
+                dft_matrix=matrix,
+                twiddles=None,
+                factors=factor_stage(_dft_matrix_of(8)),
+            )
 
     def test_factor_tables_checked_before_any_call_into_c(self):
         ones = np.ones(4, dtype=np.uint64)
         bad = [
-            dict(powers=ones, shifts=np.zeros(3, np.uint8)),  # length
-            dict(powers=ones, shifts=np.full(4, 192, np.uint8)),  # range
-            dict(powers=ones.astype(np.int64), shifts=None),  # dtype
-            dict(powers=ones, shifts=None, col_scale=ones),  # radix 8
-            dict(powers=np.ones(8, np.uint64)[::2], shifts=None),  # stride
+            dict(powers=np.ones(3, np.uint64)),  # radix 6
+            dict(powers=ones[:0]),  # radix 0
+            dict(powers=ones.astype(np.int64)),  # dtype
+            dict(powers=ones, col_scale=ones),  # scale of radix 4
+            dict(powers=ones, row_scale=np.ones(16, np.uint64)),  # radix 16
+            dict(powers=np.ones(8, np.uint64)[::2]),  # stride
         ]
         for tables in bad:
-            tables.setdefault("col_scale", None)
             with pytest.raises(ValueError):
-                StageFactors(row_scale=None, **tables)
+                native.StageFactors(**tables)
 
     def test_layout_it_does_not_take_runs_limb_matmul(self):
         rng = np.random.default_rng(13)
@@ -280,6 +282,9 @@ class TestPlanEquivalence:
         n, radices = config
         loop_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
         fast_plan = plan_for_size(n, radices, kernel=kernel)
+        # Every stage of a real plan factors for the compiled kernel.
+        stages = fast_plan.stages + fast_plan.inverse_plan.stages
+        assert all(stage.factors is not None for stage in stages)
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
         want = execute_plan_batch(matrix, loop_plan)

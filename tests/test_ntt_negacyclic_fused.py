@@ -113,6 +113,9 @@ class TestFusedEquivalence:
     def test_forward_inverse_roundtrip(self, n, radices, kernel):
         rng = np.random.default_rng(n * 7 + len(radices))
         fused = plan_for_size(n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC)
+        # The fused first forward and last inverse stages factor too.
+        stages = fused.stages + fused.inverse_plan.stages
+        assert all(stage.factors is not None for stage in stages)
         oracle = _oracle_plan(n, radices)
         for batch in (1, 3):
             rows = _rows(rng, batch, n)

@@ -100,6 +100,9 @@ class TestForwardSpectrumPermutation:
         rows = _rows(rng, 3, n)
         natural = plan_for_size(n, radices, kernel=kernel)
         decimated = decimated_companion(natural)
+        # The transposed, row-scaled DIT inverse stages factor too.
+        stages = decimated.stages + decimated.inverse_plan.stages
+        assert all(stage.factors is not None for stage in stages)
         dec = execute_plan_batch(rows, decimated)
         nat = execute_plan_batch(rows, natural)
         assert np.array_equal(dec[:, decimated.output_permutation], nat)
@@ -201,6 +204,8 @@ class TestConvolutionEquivalence:
             twist=TWIST_NEGACYCLIC,
             ordering=ORDER_DECIMATED,
         )
+        stages = fused.stages + fused.inverse_plan.stages
+        assert all(stage.factors is not None for stage in stages)
         assert np.array_equal(
             negacyclic_convolution_many(a, b, fused), oracle
         )

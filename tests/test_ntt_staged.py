@@ -49,6 +49,9 @@ def test_paper_64k_plan_full_size(rng):
     """The headline configuration: 64K points, radices 64/64/16."""
     x = to_field_array([rng.randrange(P) for _ in range(65536)])
     plan = paper_64k_plan()
+    # All 64·64·16 stages factor, so the compiled kernel runs them all.
+    stages = plan.stages + plan.inverse_plan.stages
+    assert all(stage.factors is not None for stage in stages)
     spectrum = execute_plan(x, plan)
     assert np.array_equal(spectrum, ntt_radix2_numpy(x))
     assert np.array_equal(execute_plan_inverse(spectrum, plan), x)
