@@ -65,6 +65,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.engine import Engine  # noqa: E402
 from repro.fhe.params import MEDIUM, SMALL_DGHV, TOY  # noqa: E402
 from repro.hw.timing import PAPER_TIMING  # noqa: E402
+from repro.ntt.kernels import default_kernel  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_fhe_workload.json"
 DEFAULT_RESILIENCE_JSON = REPO_ROOT / "BENCH_resilience.json"
@@ -234,23 +235,16 @@ def ordering_rlwe_case(n: int, batch: int, repeats: int, seed: int) -> dict:
     """
     from repro.fhe.rlwe import RLWE, RLWEParams
     from repro.ntt.plan import (
-        ORDER_DECIMATED,
         TWIST_NEGACYCLIC,
+        decimated_companion,
         plan_for_size,
     )
 
     params = RLWEParams(n=n, t=256, noise_bound=4)
-    permuted_scheme = RLWE(
-        params,
-        rng=random.Random(seed),
-        plan=plan_for_size(n, twist=TWIST_NEGACYCLIC),
-    )
+    natural = plan_for_size(n, twist=TWIST_NEGACYCLIC)
+    permuted_scheme = RLWE(params, rng=random.Random(seed), plan=natural)
     free_scheme = RLWE(
-        params,
-        rng=random.Random(seed),
-        plan=plan_for_size(
-            n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
-        ),
+        params, rng=random.Random(seed), plan=decimated_companion(natural)
     )
     rng = random.Random(seed + 1)
     secret = permuted_scheme.generate_secret()
@@ -453,7 +447,7 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
             "cpus": os.cpu_count(),
         },
         "config": {
-            "engine_kernel": engine.config.kernel,
+            "engine_kernel": default_kernel(),
             "repeats": repeats,
             "seed": seed,
             "timer": "best-of-repeats wall clock",

@@ -64,8 +64,8 @@ from repro.ntt.negacyclic import (  # noqa: E402
     negacyclic_convolution_many,
 )
 from repro.ntt.plan import (  # noqa: E402
-    ORDER_DECIMATED,
     TWIST_NEGACYCLIC,
+    decimated_companion,
     plan_for_size,
 )
 from repro.ntt.staged import execute_plan_batch  # noqa: E402
@@ -257,13 +257,7 @@ def run_ordering_case(
     permuted_plan = plan_for_size(
         n, radices, kernel=KERNEL_LIMB_MATMUL, twist=twist
     )
-    free_plan = plan_for_size(
-        n,
-        radices,
-        kernel=KERNEL_LIMB_MATMUL,
-        twist=twist,
-        ordering=ORDER_DECIMATED,
-    )
+    free_plan = decimated_companion(permuted_plan)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
     b = rng.integers(0, P, size=(batch, n), dtype=np.uint64)

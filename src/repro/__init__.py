@@ -78,7 +78,7 @@ def ssa_multiply(a, b, params=None):
     return engine.multiplier(params=params).multiply(a, b)
 
 
-def plan_for_size(n, radices=None, omega=None, kernel=None):
+def plan_for_size(n, radices=None, omega=None):
     """Deprecated shim: build a plan in the default engine's cache.
 
     Prefer ``Engine().plan(n)`` / ``engine.ring(n)``.  The default
@@ -86,7 +86,7 @@ def plan_for_size(n, radices=None, omega=None, kernel=None):
     are the same objects :func:`repro.ntt.plan.plan_for_size` yields.
     """
     _warn_legacy("plan_for_size", "Engine().plan(n, ...)")
-    return default_engine().plan(n, radices, omega, kernel=kernel)
+    return default_engine().plan(n, radices, omega)
 
 
 def paper_64k_plan():

@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
 Every compute command is a thin shell over one
-:class:`repro.engine.Engine`: the ``--kernel`` / ``--pes`` /
+:class:`repro.engine.Engine`: the ``--pes`` / ``--workers`` /
 ``--backend`` flags build an
 :class:`~repro.engine.config.ExecutionConfig`, and the command body
 just calls the engine.
@@ -35,8 +35,6 @@ def _engine(args: argparse.Namespace, backend: str = "software"):
     from repro.engine import Engine, ExecutionConfig
 
     overrides = {}
-    if getattr(args, "kernel", None) is not None:
-        overrides["kernel"] = args.kernel
     if getattr(args, "pes", None) is not None:
         overrides["pes"] = args.pes
     workers = getattr(args, "workers", None)
@@ -337,8 +335,6 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.ntt.kernels import available_kernels
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DATE 2016 HE-accelerator reproduction toolkit",
@@ -371,15 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="batch size; >1 uses the batched execution engine",
-    )
-    pm.add_argument(
-        "--kernel",
-        choices=available_kernels(),
-        default=None,
-        help=(
-            "NTT stage-DFT backend (default: REPRO_NTT_KERNEL env var, "
-            "then compiled when its C library builds, else limb-matmul)"
-        ),
     )
     pm.add_argument(
         "--backend",

@@ -1,19 +1,11 @@
 """Execution configuration for the :class:`repro.engine.Engine` façade.
 
 One frozen :class:`ExecutionConfig` fixes every knob that used to be
-hand-threaded through the stack (``kernel=`` kwargs, ``REPRO_NTT_KERNEL``
-environment lookups, PE counts, clock period, batch chunking) so the
-whole field→NTT→SSA→FHE→hw pipeline is configured in exactly one place.
-
-Kernel precedence (resolved **once**, at config construction):
-
-1. an explicit ``kernel=`` passed to :class:`ExecutionConfig` (or to
-   :meth:`ExecutionConfig.default`),
-2. the ``REPRO_NTT_KERNEL`` environment variable as read *at the moment
-   the config is constructed* — later changes to the environment do not
-   retroactively affect an engine that is already built,
-3. the built-in default: ``compiled`` when its C library loads on this
-   host (:mod:`repro.native`), else ``limb-matmul``.
+hand-threaded through the stack (PE counts, clock period, batch
+chunking, worker pools) so the whole field→NTT→SSA→FHE→hw pipeline is
+configured in exactly one place.  The NTT stage kernel is not one of
+them: the host picks it (``compiled`` when its C library loads, else
+``limb-matmul``; see :mod:`repro.ntt.kernels`).
 """
 
 from __future__ import annotations
@@ -22,11 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.arch.spec import ArchSpec
-from repro.ntt.kernels import (
-    KERNEL_ENV_VAR,
-    available_kernels,
-    resolve_kernel,
-)
 
 #: Allowed values of :attr:`ExecutionConfig.cache`.
 CACHE_PRIVATE = "private"
@@ -41,13 +28,6 @@ class ExecutionConfig:
 
     Parameters
     ----------
-    kernel:
-        NTT stage-DFT backend (``"loop"``, ``"limb-matmul"`` or
-        ``"compiled"``).
-        ``None`` resolves through ``REPRO_NTT_KERNEL`` **once, here at
-        construction** (see the module docstring for the precedence
-        rule); the resolved name is stored, so the engine never touches
-        the environment again.
     batch_chunk:
         Upper bound on the number of operand pairs fed to one batched
         SSA pass.  ``None`` runs any batch in a single pass; a positive
@@ -101,14 +81,11 @@ class ExecutionConfig:
         mismatch instead of returning silently wrong values.  Costs one
         extra row/product per shard; off by default.
 
-    A config is hashable and pickle-stable: the kernel name is resolved
-    (including the one-time environment read) at construction, so a
-    config shipped to a ``software-mp`` worker process reconstructs the
-    *same* engine regardless of the worker's environment, and
+    A config is hashable and pickle-stable: a config shipped to a
+    ``software-mp`` worker process reconstructs the *same* engine, and
     ``pickle.loads(pickle.dumps(cfg)) == cfg`` always holds.
     """
 
-    kernel: Optional[str] = None
     batch_chunk: Optional[int] = None
     cache: object = CACHE_PRIVATE
     arch: Optional[ArchSpec] = None
@@ -121,9 +98,6 @@ class ExecutionConfig:
     verify_shards: bool = False
 
     def __post_init__(self) -> None:
-        # The one and only environment read: resolve_kernel(None)
-        # consults REPRO_NTT_KERNEL; the resolved name is frozen in.
-        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
         cache = self.cache
         if cache is True:
             cache = CACHE_PRIVATE
@@ -157,13 +131,7 @@ class ExecutionConfig:
 
     @classmethod
     def default(cls, **overrides: object) -> "ExecutionConfig":
-        """The stock configuration, with the environment consulted once.
-
-        Equivalent to ``ExecutionConfig(**overrides)``; exists to make
-        the construction-time environment read explicit at call sites:
-        ``ExecutionConfig.default()`` is the moment ``REPRO_NTT_KERNEL``
-        is read, not every later ``plan`` / ``multiply`` call.
-        """
+        """The stock configuration; ``ExecutionConfig(**overrides)``."""
         return cls(**overrides)  # type: ignore[arg-type]
 
     def with_overrides(self, **overrides: object) -> "ExecutionConfig":
@@ -193,6 +161,4 @@ __all__ = [
     "CACHE_PRIVATE",
     "CACHE_SHARED",
     "CACHE_OFF",
-    "KERNEL_ENV_VAR",
-    "available_kernels",
 ]

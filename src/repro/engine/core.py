@@ -5,7 +5,7 @@ serving SSA big-integer multiplication for homomorphic-encryption
 workloads.  :class:`Engine` is that machine's software face:
 
 >>> from repro.engine import Engine, ExecutionConfig
->>> eng = Engine(config=ExecutionConfig(kernel="limb-matmul"))
+>>> eng = Engine(config=ExecutionConfig(batch_chunk=16))
 >>> eng.multiply(3, 5)                      # SSA big-int product
 15
 >>> ring = eng.ring(64)                     # cyclic/negacyclic algebra
@@ -17,10 +17,10 @@ workloads.  :class:`Engine` is that machine's software face:
 An engine owns:
 
 - a **per-engine plan cache** (:class:`repro.ntt.plan.PlanCache`) —
-  plans, twiddles and limb tables built once per engine rather than
+  plans, twiddles and kernel tables built once per engine rather than
   leaked into process-global state;
 - a pool of :class:`~repro.ssa.SSAMultiplier` instances keyed by
-  operand sizing, all pinned to the engine's kernel and plan cache;
+  operand sizing, all pinned to the engine's plan cache;
 - a :class:`~repro.engine.backends.ComputeBackend` that actually runs
   transforms and multiplications — ``"software"`` for throughput,
   ``"hw-model"`` for the cycle-counted accelerator model, or any
@@ -47,13 +47,13 @@ from repro.engine.config import (
     ExecutionConfig,
 )
 from repro.engine.ring import Ring
+from repro.ntt.kernels import default_kernel
 from repro.ntt.plan import (
     DEFAULT_PLAN_CACHE,
-    ORDER_DECIMATED,
-    ORDER_NATURAL,
     PlanCache,
     PlanCacheStats,
     TransformPlan,
+    decimated_companion,
 )
 from repro.ssa.encode import SSAParameters, params_for_bits
 from repro.ssa.multiplier import SSAMultiplier
@@ -66,9 +66,7 @@ class Engine:
     ----------
     config:
         An :class:`~repro.engine.config.ExecutionConfig`; defaults to
-        ``ExecutionConfig.default()`` (which consults the
-        ``REPRO_NTT_KERNEL`` environment variable exactly once, at
-        construction).
+        ``ExecutionConfig.default()``.
     backend:
         A registered backend name (``"software"``, ``"hw-model"``) or a
         ready :class:`~repro.engine.backends.ComputeBackend` instance.
@@ -121,7 +119,7 @@ class Engine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Engine(backend={self.backend.name!r}, "
-            f"kernel={self.config.kernel!r}, cache={self.config.cache!r})"
+            f"kernel={default_kernel()!r}, cache={self.config.cache!r})"
         )
 
     # -- plans and rings ---------------------------------------------------
@@ -131,25 +129,20 @@ class Engine:
         n: int,
         radices: Optional[Sequence[int]] = None,
         omega: Optional[int] = None,
-        kernel: Optional[str] = None,
         twist: str = "",
-        ordering: str = ORDER_NATURAL,
     ) -> TransformPlan:
-        """An ``n``-point plan from the engine's cache.
+        """An ``n``-point natural-ordering plan from the engine's cache,
+        on the host's stage kernel.
 
-        ``kernel`` defaults to the engine's configured kernel (never to
-        the environment — that was resolved at config construction).
-        ``twist=TWIST_NEGACYCLIC`` yields the fused negacyclic variant,
-        ``ordering=ORDER_DECIMATED`` the permutation-free DIF/DIT pair
-        (see :meth:`repro.ntt.plan.PlanCache.plan_for_size`).
+        ``twist=TWIST_NEGACYCLIC`` yields the fused negacyclic variant
+        (see :meth:`repro.ntt.plan.PlanCache.plan_for_size`); the
+        permutation-free pair of any plan is
+        :func:`~repro.ntt.plan.decimated_companion`.
         """
-        kernel = kernel if kernel is not None else self.config.kernel
         cache = self._plan_cache
         if cache is None:  # cache="off": build fresh, keep nothing
             cache = PlanCache()
-        return cache.plan_for_size(
-            n, radices, omega, kernel, twist, ordering
-        )
+        return cache.plan_for_size(n, radices, omega, twist=twist)
 
     def ring(
         self, n: int, radices: Optional[Sequence[int]] = None
@@ -178,7 +171,7 @@ class Engine:
         Exactly one of ``bits`` (operand bit length, rounded up to the
         next power-of-two coefficient count) or ``params`` (explicit
         :class:`~repro.ssa.SSAParameters`) must be given.  The
-        multiplier's plan comes from the engine's cache and kernel.
+        multiplier's plan comes from the engine's cache.
         """
         if (bits is None) == (params is None):
             raise ValueError("give exactly one of bits= or params=")
@@ -197,9 +190,7 @@ class Engine:
         multiplier = self._multipliers.get(params)
         if multiplier is None:
             multiplier = SSAMultiplier(
-                params=params,
-                kernel=self.config.kernel,
-                plan=self.plan(params.transform_size),
+                params=params, plan=self.plan(params.transform_size)
             )
             self._multipliers[params] = multiplier
         return multiplier
@@ -315,7 +306,7 @@ class Engine:
         - :class:`repro.fhe.rlwe.RLWEParams` → an
           :class:`repro.fhe.RLWE` instance whose negacyclic ring
           products use the engine's *fused, decimated* negacyclic plan
-          (kernel and cache included) — ψ-twist and untwist folded into
+          (from the engine's cache) — ψ-twist and untwist folded into
           the stage constants and the digit-reversal gathers skipped:
           RLWE spectra are internal to the scheme, so the
           permutation-free pair is safe end to end.  The scheme is also
@@ -338,10 +329,8 @@ class Engine:
             return RLWE(
                 params,
                 rng=rng,
-                plan=self.plan(
-                    params.n,
-                    twist=TWIST_NEGACYCLIC,
-                    ordering=ORDER_DECIMATED,
+                plan=decimated_companion(
+                    self.plan(params.n, twist=TWIST_NEGACYCLIC)
                 ),
                 engine=self,
             )
@@ -453,8 +442,7 @@ def default_engine() -> Engine:
     Backs the deprecated top-level convenience functions
     (:func:`repro.ssa_multiply`, :func:`repro.plan_for_size`, ...).  It
     shares the process-wide plan cache, so plans it builds are the same
-    objects legacy module-level calls see.  Constructed on first use —
-    which is when its config reads ``REPRO_NTT_KERNEL``.
+    objects legacy module-level calls see.  Constructed on first use.
     """
     global _default_engine
     if _default_engine is None:

@@ -103,11 +103,10 @@ def _shard_plan(
     twist: str,
     ordering: str,
 ):
-    from repro.ntt.plan import ORDER_NATURAL
+    from repro.ntt.plan import ORDER_DECIMATED, decimated_companion
 
-    return _engine().plan(
-        n, radices, twist=twist, ordering=ordering or ORDER_NATURAL
-    )
+    plan = _engine().plan(n, radices, twist=twist)
+    return decimated_companion(plan) if ordering == ORDER_DECIMATED else plan
 
 
 def transform_shard(

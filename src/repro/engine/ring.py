@@ -38,7 +38,11 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.field.vector import vmul
-from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC, TransformPlan
+from repro.ntt.plan import (
+    TWIST_NEGACYCLIC,
+    TransformPlan,
+    decimated_companion,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.core import Engine
@@ -68,8 +72,6 @@ class Ring:
         self._engine = engine
         self._plan = plan
         self._nega_plan: Optional[TransformPlan] = None
-        self._conv_plan: Optional[TransformPlan] = None
-        self._nega_conv_plan: Optional[TransformPlan] = None
 
     @property
     def n(self) -> int:
@@ -98,23 +100,12 @@ class Ring:
         pointwise sandwich never looks at spectrum order, so both
         digit-reversal gathers drop at bit-identical output.
         """
-        if self._conv_plan is None:
-            self._conv_plan = self._engine.plan(
-                self.n, self._plan.radices, ordering=ORDER_DECIMATED
-            )
-        return self._conv_plan
+        return decimated_companion(self._plan)
 
     @property
     def negacyclic_convolution_plan(self) -> TransformPlan:
         """The fused *and* decimated negacyclic convolution pair."""
-        if self._nega_conv_plan is None:
-            self._nega_conv_plan = self._engine.plan(
-                self.n,
-                self._plan.radices,
-                twist=TWIST_NEGACYCLIC,
-                ordering=ORDER_DECIMATED,
-            )
-        return self._nega_conv_plan
+        return decimated_companion(self.negacyclic_plan)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -78,9 +78,9 @@ from repro.field.vector import (
     vsub,
 )
 from repro.ntt.plan import (
-    ORDER_DECIMATED,
     TWIST_NEGACYCLIC,
     TransformPlan,
+    decimated_companion,
     plan_for_size,
 )
 from repro.ntt.negacyclic import (
@@ -449,8 +449,8 @@ class RLWE:
         routes are bit-identical."""
         params.validate()
         if engine is not None and plan is None:
-            plan = engine.plan(
-                params.n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
+            plan = decimated_companion(
+                engine.plan(params.n, twist=TWIST_NEGACYCLIC)
             )
         if plan is not None and plan.n != params.n:
             raise ValueError(
@@ -481,8 +481,8 @@ class RLWE:
             return self.engine._transform(self.plan, rows, inverse=inverse)
         plan = self.plan
         if plan is None:
-            plan = plan_for_size(
-                self.params.n, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
+            plan = decimated_companion(
+                plan_for_size(self.params.n, twist=TWIST_NEGACYCLIC)
             )
         if inverse:
             return negacyclic_inverse_many(rows, plan)

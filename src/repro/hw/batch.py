@@ -183,8 +183,8 @@ def measure_software_batch(
     :func:`schedule_batch` on the same batch size.
 
     ``engine`` (an optional :class:`repro.engine.Engine`) routes both
-    paths through the engine — its kernel, its plan cache *and its
-    compute backend*, so an engine on ``software-mp`` measures the
+    paths through the engine — its plan cache *and its compute
+    backend*, so an engine on ``software-mp`` measures the
     sharded worker-pool path (and exercises its fault recovery when
     the injection harness is armed); by default a standalone
     :class:`SSAMultiplier` is sized for ``bits``.

@@ -2,7 +2,8 @@
 
 Layered as in the paper:
 
-- :mod:`repro.ntt.reference` — O(n²) DFT, the correctness oracle;
+- :mod:`repro.ntt.reference` — the correctness oracles: the O(n²) DFT
+  and a big-integer cyclic/negacyclic convolution;
 - :mod:`repro.ntt.radix2` — classic iterative radix-2 NTT (software
   fast path, scalar and numpy variants);
 - :mod:`repro.ntt.cooley_tukey` — the general ``N = N1·N2``
@@ -13,17 +14,22 @@ Layered as in the paper:
 - :mod:`repro.ntt.plan` — mixed-radix transform plans, including the
   paper's three-stage 64·64·16 decomposition of the 64K transform
   (Eq. 2);
-- :mod:`repro.ntt.kernels` — selectable stage-DFT backends: the
-  ``loop`` reference, the ``limb-matmul`` numpy kernel (exact
-  16-bit-limb float64 matmuls folded by the Eq. 4 identities) and the
-  ``compiled`` C kernel (a shift-twiddle radix-2 FFT per stage);
+- :mod:`repro.ntt.kernels` — stage-DFT backends: the ``compiled`` C
+  kernel (an in-place radix-2 FFT per stage over precomputed powers of
+  the stage root, the host default), the ``limb-matmul`` numpy kernel
+  (exact 16-bit-limb float64 matmuls folded by the Eq. 4 identities,
+  used where no compiler works) and the ``loop`` reference;
 - :mod:`repro.ntt.staged` — vectorized execution of a plan;
 - :mod:`repro.ntt.order` — explicit natural↔decimated spectrum
   reordering for the permutation-free plan pairs;
 - :mod:`repro.ntt.convolution` — cyclic convolution on top of the NTT.
 """
 
-from repro.ntt.reference import dft_reference, idft_reference
+from repro.ntt.reference import (
+    convolution_reference,
+    dft_reference,
+    idft_reference,
+)
 from repro.ntt.radix2 import ntt_radix2, intt_radix2, ntt_radix2_numpy, intt_radix2_numpy
 from repro.ntt.cooley_tukey import ntt_cooley_tukey, intt_cooley_tukey
 from repro.ntt.radix64 import (
@@ -32,7 +38,6 @@ from repro.ntt.radix64 import (
     SHIFT_RADICES,
 )
 from repro.ntt.kernels import (
-    KERNEL_ENV_VAR,
     KERNEL_LIMB_MATMUL,
     KERNEL_LOOP,
     available_kernels,
@@ -77,6 +82,7 @@ from repro.ntt.negacyclic import (
 )
 
 __all__ = [
+    "convolution_reference",
     "dft_reference",
     "idft_reference",
     "ntt_radix2",
@@ -88,7 +94,6 @@ __all__ = [
     "ntt_shift_radix",
     "ntt64_two_stage",
     "SHIFT_RADICES",
-    "KERNEL_ENV_VAR",
     "KERNEL_LIMB_MATMUL",
     "KERNEL_LOOP",
     "available_kernels",

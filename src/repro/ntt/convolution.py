@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.field.vector import vmul
-from repro.ntt.plan import ORDER_DECIMATED, TransformPlan, plan_for_size
+from repro.ntt.plan import TransformPlan, decimated_companion, plan_for_size
 from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
 
 
@@ -62,8 +62,7 @@ def cyclic_convolution_many(
     When no plan is given, the default plan is the *decimated*
     (permutation-free) pair: the pointwise sandwich is order-agnostic,
     so the DIF forward / DIT inverse skip both digit-reversal gathers
-    at bit-identical output.  An explicit natural-ordering ``plan=``
-    keeps the historical permuted execution.
+    at bit-identical output.  An explicit plan runs as given.
     """
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
@@ -71,7 +70,7 @@ def cyclic_convolution_many(
         raise ValueError("inputs must be equal-shape (batch, n) matrices")
     batch, n = a.shape
     if plan is None:
-        plan = plan_for_size(n, ordering=ORDER_DECIMATED)
+        plan = decimated_companion(plan_for_size(n))
     if plan.n != n:
         raise ValueError("plan size does not match input length")
     if plan.twist:

@@ -44,11 +44,11 @@ same stage contract ``out[b, k, m] = Σ_i  M[k, i] · x[b, i, m]  (mod p)``:
     ``limb-matmul``.  Field arithmetic is exact, so the result is
     bit-identical to the other two kernels.
 
-The backend is chosen per plan (``plan_for_size(..., kernel=...)``),
-with the :data:`KERNEL_ENV_VAR` environment variable overriding the
-default for unpinned callers.  The default is ``compiled`` whenever
-the library builds and loads on this host, else ``limb-matmul``; an
-explicit ``compiled`` request on a host where it does not build raises
+The host picks the backend: ``compiled`` whenever the library builds
+and loads, else ``limb-matmul`` (:func:`default_kernel`).  Tests,
+``repro verify`` and the kernel benchmark pin one per plan with
+``plan_for_size(..., kernel=...)``; an explicit ``compiled`` request on
+a host where it does not build raises
 :class:`repro.native.CompileError` instead of falling back.
 
 All kernels are *constant-agnostic*: a stage matrix is any canonical
@@ -62,14 +62,14 @@ matrix, so every fused accumulation stays below the same
 and ``r`` of the compiled kernel's factorisation.  The
 permutation-free DIT inverse stages (:func:`repro.ntt.plan._decimate`
 transposes each inverse matrix and folds ψ⁻¹/``n^{-1}`` row scales
-into it) lean on the same property: ``StageSpec`` rebuilds the limb
-planes and the factorisation of whatever matrix it is handed, and the
-kernels never ask where the constants came from.
+into it) lean on the same property: a ``StageSpec`` derives the limb
+planes or the factorisation of whatever matrix it holds, on the first
+read by the kernel that needs them, and the kernels never ask where
+the constants came from.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -83,9 +83,6 @@ from repro.native import StageFactors
 KERNEL_LOOP = "loop"
 KERNEL_LIMB_MATMUL = "limb-matmul"
 KERNEL_COMPILED = "compiled"
-#: Environment variable overriding the default backend for plans built
-#: without an explicit ``kernel=`` argument.
-KERNEL_ENV_VAR = "REPRO_NTT_KERNEL"
 
 #: Limb geometry of the fast kernel: 4 × 16-bit planes cover uint64.
 LIMB_BITS = 16
@@ -111,14 +108,8 @@ def available_kernels() -> Tuple[str, ...]:
 
 
 def default_kernel() -> str:
-    """The backend used when a plan does not pin one.
-
-    Honors :data:`KERNEL_ENV_VAR`, falling back to ``compiled`` when
-    the library loads and to ``limb-matmul`` otherwise.
-    """
-    name = os.environ.get(KERNEL_ENV_VAR)
-    if name:
-        return resolve_kernel(name)
+    """The backend used when a plan does not pin one: ``compiled``
+    when the library loads on this host, else ``limb-matmul``."""
     return KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
 
 
@@ -202,8 +193,8 @@ def factor_stage(matrix: np.ndarray) -> Optional[StageFactors]:
 def limb_decompose_matrix(matrix: np.ndarray) -> np.ndarray:
     """``(LIMB_COUNT, R, R)`` float64 planes of 16-bit matrix limbs.
 
-    Plan construction caches this next to the twiddle tables so the
-    fast kernel never re-decomposes a DFT matrix at execute time.
+    A plan stage caches this on first read (``StageSpec.dft_limbs``),
+    so the numpy kernel never re-decomposes a DFT matrix per call.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.uint64)
     planes = np.empty((LIMB_COUNT,) + matrix.shape, dtype=np.float64)
@@ -353,7 +344,6 @@ def _run_loop(block_view: np.ndarray, stage, out: np.ndarray) -> np.ndarray:
 def _run_limb_matmul(
     block_view: np.ndarray, stage, out: np.ndarray
 ) -> np.ndarray:
-    # StageSpec.__post_init__ guarantees the cached limb planes exist.
     return stage_dft_limb_matmul(block_view, stage.dft_limbs, out=out)
 
 

@@ -15,17 +15,17 @@ By default every function here executes a *fused* plan
 first-stage DFT/twiddle constants and the ψ⁻¹-untwist plus ``n^{-1}``
 in the inverse companion's stages, so a negacyclic transform is one
 plain plan execution — the two full-vector twist ``vmul`` passes (and
-the inverse scale pass) disappear.  Passing an unfused plan keeps the
-historical explicit-twist route, which doubles as the bit-exactness
-oracle for the fused constants.
+the inverse scale pass) disappear.  Passing a cyclic plan selects the
+explicit-twist route instead, the timed baseline of the fused plans.
 
-The *convolution* entry points additionally default to the decimated
-(permutation-free) plan pair: their forward→pointwise→inverse sandwich
-never looks at spectrum order, so the digit-reversal gathers drop too.
-The explicit-spectra pair :func:`negacyclic_transform_many` /
-:func:`negacyclic_inverse_many` keeps natural-order spectra by default
-— callers who inspect spectra see the historical layout unless they
-pass a decimated plan themselves (see :mod:`repro.ntt.order`).
+The *convolution* entry points default to the fused plan's
+:func:`~repro.ntt.plan.decimated_companion`: their
+forward→pointwise→inverse sandwich never looks at spectrum order, so
+the digit-reversal gathers drop too.  The explicit-spectra pair
+:func:`negacyclic_transform_many` / :func:`negacyclic_inverse_many`
+keeps natural-order spectra by default — callers who inspect spectra
+see the natural layout unless they pass a decimated plan themselves
+(see :mod:`repro.ntt.order`).
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from repro.field.roots import root_of_unity
 from repro.field.solinas import P, inverse, pow_mod
 from repro.field.vector import vmul
 from repro.ntt.plan import (
-    ORDER_DECIMATED,
-    ORDER_NATURAL,
     TWIST_NEGACYCLIC,
     TransformPlan,
+    decimated_companion,
     plan_for_size,
 )
 from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
@@ -71,24 +70,19 @@ def twist_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return forward, backward
 
 
-#: Back-compat alias (pre-engine internal name).
-_twist_tables = twist_tables
-
-
 def _negacyclic_plan(
-    n: int,
-    plan: Optional[TransformPlan],
-    ordering: str = ORDER_NATURAL,
+    n: int, plan: Optional[TransformPlan], convolution: bool = False
 ) -> TransformPlan:
     """Resolve the plan for an ``n``-point negacyclic operation.
 
-    ``None`` builds (and caches) the fused negacyclic plan with the
-    requested ``ordering``; an explicit plan — fused or not, natural or
-    decimated — is validated and used as given, so callers can pin the
-    explicit-twist oracle route by passing a cyclic plan.
+    ``None`` is the (cached) fused negacyclic plan — its decimated
+    companion for a ``convolution``; an explicit plan — fused or not,
+    natural or decimated — is validated and used as given, so a cyclic
+    plan selects the explicit-twist route.
     """
     if plan is None:
-        return plan_for_size(n, twist=TWIST_NEGACYCLIC, ordering=ordering)
+        plan = plan_for_size(n, twist=TWIST_NEGACYCLIC)
+        return decimated_companion(plan) if convolution else plan
     if plan.n != n:
         raise ValueError("plan size does not match input length")
     return plan
@@ -128,8 +122,8 @@ def negacyclic_convolution_many(
 
     The default plan is the fused *decimated* pair: the spectra stay in
     decimated order through the order-agnostic pointwise product, so
-    neither transform pays a digit-reversal gather.  Pass an explicit
-    natural-ordering plan to pin the historical permuted route.
+    neither transform pays a digit-reversal gather.  An explicit plan
+    runs as given.
     """
     a = np.ascontiguousarray(a, dtype=np.uint64)
     b = np.ascontiguousarray(b, dtype=np.uint64)
@@ -138,7 +132,7 @@ def negacyclic_convolution_many(
     batch, n = a.shape
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a power of two")
-    plan = _negacyclic_plan(n, plan, ordering=ORDER_DECIMATED)
+    plan = _negacyclic_plan(n, plan, convolution=True)
     spectra = negacyclic_transform_many(np.concatenate([a, b], axis=0), plan)
     # The pointwise product may overwrite the first half of the owned
     # spectra matrix instead of allocating a fresh one.
@@ -168,7 +162,7 @@ def negacyclic_convolution_broadcast(
         raise ValueError(
             "expected a (batch, n) matrix and a length-n polynomial"
         )
-    plan = _negacyclic_plan(a.shape[1], plan, ordering=ORDER_DECIMATED)
+    plan = _negacyclic_plan(a.shape[1], plan, convolution=True)
     spectra = negacyclic_transform_many(
         np.concatenate([a, b[np.newaxis, :]], axis=0), plan
     )
@@ -186,9 +180,8 @@ def negacyclic_transform_many(
     Spectra are identical bits whichever plan flavor computes them: a
     fused plan folds the twist into its first stage, an unfused plan
     pays the explicit twist ``vmul`` first.  The default plan keeps
-    *natural* spectrum order (explicit-spectra callers see the
-    historical layout); pass a decimated plan for permutation-free
-    spectra.
+    *natural* spectrum order; pass a decimated plan for
+    permutation-free spectra.
     """
     polys = np.ascontiguousarray(polys, dtype=np.uint64)
     if polys.ndim != 2:

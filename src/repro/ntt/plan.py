@@ -10,6 +10,11 @@ precomputes everything a vectorized executor needs:
   multipliers, while the intra-stage factors are shifts),
 - the output digit-reversal permutation that restores natural order.
 
+The tables each stage kernel reads on top of the DFT matrix (the
+limb planes of ``limb-matmul``, the factorisation of ``compiled``) are
+derived from it on first read, so a plan builds only what its kernel
+uses.
+
 The paper's configuration is ``paper_64k_plan()``: ``N = 65536`` with
 radices ``(64, 64, 16)``, i.e. stages over ``n3`` (stride 1024), ``n2``
 (stride 16) and ``n1`` (stride 1) exactly as in Eq. 2.
@@ -18,6 +23,7 @@ radices ``(64, 64, 16)``, i.e. stages over ``n3`` (stride 1024), ``n2``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +51,8 @@ TWIST_NEGACYCLIC = "negacyclic"
 
 #: ``TransformPlan.ordering`` of a plan whose forward output (and
 #: inverse input) is in natural index order — the digit-reversal gather
-#: runs after the last stage.  This is the historical behaviour.
+#: runs after the last stage.  Every plan the cache builds is natural;
+#: it is the order anyone who observes a spectrum sees.
 ORDER_NATURAL = "natural"
 
 #: ``TransformPlan.ordering`` of a permutation-free plan pair: the
@@ -54,11 +61,9 @@ ORDER_NATURAL = "natural"
 #: decimation-in-time inverse companion consumes exactly that order and
 #: emits natural-order coefficients, again without a gather (see
 #: :func:`_decimate`).  Pointwise-product sandwiches (convolutions,
-#: SSA ``multiply_many``) are order-agnostic, so they skip both
-#: per-transform permutations at identical output bits.
+#: SSA ``multiply_many``) are order-agnostic, so they run this pair,
+#: reached only through :func:`decimated_companion`.
 ORDER_DECIMATED = "decimated"
-
-_ORDERINGS = (ORDER_NATURAL, ORDER_DECIMATED)
 
 
 @dataclass(frozen=True)
@@ -72,27 +77,22 @@ class StageSpec:
     dft_matrix: np.ndarray
     #: (radix, tail) inter-stage twiddle table; ``None`` for the last stage.
     twiddles: Optional[np.ndarray]
-    #: ``(4, radix, radix)`` float64 16-bit-limb planes of ``dft_matrix``,
-    #: precomputed for the ``limb-matmul`` kernel (``__post_init__``
-    #: fills it in, so hand-built specs are complete too).
-    dft_limbs: Optional[np.ndarray] = field(
-        default=None, compare=False, repr=False
-    )
-    #: ``dft_matrix`` factored as ``diag(r)·F_R(ω)·diag(c)`` for the
-    #: ``compiled`` kernel (:func:`repro.ntt.kernels.factor_stage`,
-    #: checked entry by entry); ``None`` when it does not factor, and
-    #: the stage then runs on ``limb-matmul``.  Always derived from
-    #: ``dft_matrix``, never passed in.
-    factors: Optional[StageFactors] = field(
-        init=False, compare=False, repr=False
-    )
 
-    def __post_init__(self) -> None:
-        if self.dft_limbs is None:
-            object.__setattr__(
-                self, "dft_limbs", limb_decompose_matrix(self.dft_matrix)
-            )
-        object.__setattr__(self, "factors", factor_stage(self.dft_matrix))
+    @cached_property
+    def dft_limbs(self) -> np.ndarray:
+        """``(4, radix, radix)`` float64 16-bit-limb planes of
+        ``dft_matrix`` for the ``limb-matmul`` kernel, derived on first
+        read."""
+        return limb_decompose_matrix(self.dft_matrix)
+
+    @cached_property
+    def factors(self) -> Optional[StageFactors]:
+        """``dft_matrix`` factored as ``diag(r)·F_R(ω)·diag(c)`` for the
+        ``compiled`` kernel (:func:`repro.ntt.kernels.factor_stage`,
+        checked entry by entry), derived on first read; ``None`` when
+        it does not factor, and the stage then runs on
+        ``limb-matmul``."""
+        return factor_stage(self.dft_matrix)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class TransformPlan:
     #: Stage-DFT backend the executor dispatches on: ``"loop"``,
     #: ``"limb-matmul"`` or ``"compiled"`` (see
     #: :mod:`repro.ntt.kernels`).  An empty string resolves to the
-    #: process default at construction.
+    #: host default at construction.
     kernel: str = field(default="", compare=False)
     #: ``""`` for a plain cyclic plan; :data:`TWIST_NEGACYCLIC` when the
     #: negacyclic ψ-twist/untwist (and the inverse ``n^{-1}`` scale) are
@@ -163,11 +163,6 @@ class TransformPlan:
         object.__setattr__(
             self, "kernel", resolve_kernel(self.kernel or None)
         )
-        if self.ordering not in _ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {self.ordering!r}; "
-                f"expected one of {_ORDERINGS}"
-            )
 
     @property
     def stage_count(self) -> int:
@@ -280,11 +275,11 @@ def _fuse_negacyclic(base: TransformPlan) -> TransformPlan:
     and, for the last stage (no twiddles), into the DFT matrix rows
     together with the global ``n^{-1}`` scale.
 
-    Every fused table stays a canonical-residue uint64 array, so both
-    stage kernels run unchanged (``StageSpec.__post_init__`` rebuilds
-    the 16-bit limb planes of the fused matrices) and the executor's
-    stage schedule — hence the hw model's cycle ledger — is identical
-    to the base plan's.
+    Every fused table stays a canonical-residue uint64 array, so every
+    stage kernel runs unchanged (a ``StageSpec`` derives its kernel
+    tables from whatever matrix it holds) and the executor's stage
+    schedule — hence the hw model's cycle ledger — is identical to the
+    base plan's.
     """
     # Lazy import: repro.ntt.negacyclic imports this module at top level.
     from repro.ntt.negacyclic import twist_tables
@@ -402,8 +397,6 @@ def _decimate(base: TransformPlan) -> TransformPlan:
     last-executed stage).  The unfused DIT inverse folds ``n^{-1}`` the
     same way, which also retires the trailing scale pass.
     """
-    if base.ordering == ORDER_DECIMATED:
-        return base
     if base.inverse_plan is None:
         raise ValueError(
             "cannot decimate a plan without an inverse companion"
@@ -515,10 +508,10 @@ class PlanCacheStats:
 class PlanCache:
     """A keyed store of built :class:`TransformPlan` objects.
 
-    Keys are ``(n, radices, omega, kernel, twist, ordering)``; a hit
-    returns the very same plan object, so precomputed DFT matrices,
-    twiddle tables and limb planes are shared by every caller of the
-    cache.  Decimated entries resolve through
+    Keys are ``(n, radices, omega, kernel, twist)``; a hit returns the
+    very same plan object, so precomputed DFT matrices, twiddle tables
+    and kernel tables are shared by every caller of the cache.  Every
+    cached plan is natural-ordering; its permutation-free pair is
     :func:`decimated_companion`, which memoizes on the natural plan
     itself — so even *different* caches holding the same natural plan
     share one decimated pair.
@@ -532,7 +525,7 @@ class PlanCache:
 
     def __init__(self) -> None:
         self._plans: Dict[
-            Tuple[int, Tuple[int, ...], int, str, str, str], TransformPlan
+            Tuple[int, Tuple[int, ...], int, str, str], TransformPlan
         ] = {}
         self._hits = 0
         self._misses = 0
@@ -563,30 +556,24 @@ class PlanCache:
         omega: Optional[int] = None,
         kernel: Optional[str] = None,
         twist: str = "",
-        ordering: str = ORDER_NATURAL,
     ) -> TransformPlan:
-        """Build (and cache) a plan for an ``n``-point transform.
+        """Build (and cache) a natural-ordering ``n``-point plan.
 
         ``radices`` defaults to greedy radix-64 stages with one smaller
         final stage, mirroring the paper's preference for high radices.
-        The returned plan carries a matching ``inverse_plan``.
+        The returned plan carries a matching ``inverse_plan``; its
+        permutation-free pair is :func:`decimated_companion`.
 
         ``kernel`` pins the stage-DFT backend (``"loop"``,
-        ``"limb-matmul"`` or ``"compiled"``); ``None`` resolves through
-        the ``REPRO_NTT_KERNEL`` environment variable, defaulting to
-        ``compiled`` when its C library loads, else ``limb-matmul``.
+        ``"limb-matmul"`` or ``"compiled"``) for tests and benchmarks;
+        ``None`` is the host default, ``compiled`` when its C library
+        loads, else ``limb-matmul``.
 
         ``twist=TWIST_NEGACYCLIC`` returns the fused negacyclic variant
         (ψ-twist folded into the first-stage constants, ψ⁻¹-untwist and
         ``n^{-1}`` into the inverse companion's stages); it requires the
         default primitive root, since ψ is its square root of order
         ``2n``.  The cyclic base plan is built (and cached) alongside.
-
-        ``ordering=ORDER_DECIMATED`` returns the permutation-free pair
-        (DIF forward emitting decimated spectra, DIT inverse consuming
-        them); the natural-ordering plan is built (and cached)
-        alongside, and the decimated pair is shared through
-        :func:`decimated_companion`.
         """
         if n & (n - 1) or n == 0:
             raise ValueError("transform size must be a power of two")
@@ -594,11 +581,6 @@ class PlanCache:
             raise ValueError(
                 f"unknown twist {twist!r}; "
                 f"expected '' or {TWIST_NEGACYCLIC!r}"
-            )
-        if ordering not in _ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {ordering!r}; "
-                f"expected one of {_ORDERINGS}"
             )
         default_omega = root_of_unity(n)
         if omega is None:
@@ -611,15 +593,11 @@ class PlanCache:
         if radices is None:
             radices = _default_radices(n)
         kernel = resolve_kernel(kernel)
-        key = (n, tuple(radices), omega, kernel, twist, ordering)
+        key = (n, tuple(radices), omega, kernel, twist)
         plan = self._plans.get(key)
         if plan is None:
             self._misses += 1
-            if ordering == ORDER_DECIMATED:
-                plan = decimated_companion(
-                    self.plan_for_size(n, radices, omega, kernel, twist)
-                )
-            elif twist:
+            if twist:
                 plan = _fuse_negacyclic(
                     self.plan_for_size(n, radices, omega, kernel)
                 )
@@ -656,13 +634,10 @@ def plan_for_size(
     omega: Optional[int] = None,
     kernel: Optional[str] = None,
     twist: str = "",
-    ordering: str = ORDER_NATURAL,
 ) -> TransformPlan:
     """Build a plan in the default cache (see
     :meth:`PlanCache.plan_for_size`)."""
-    return DEFAULT_PLAN_CACHE.plan_for_size(
-        n, radices, omega, kernel, twist, ordering
-    )
+    return DEFAULT_PLAN_CACHE.plan_for_size(n, radices, omega, kernel, twist)
 
 
 def _default_radices(n: int) -> Tuple[int, ...]:

@@ -15,12 +15,13 @@ coefficients with no gather either.  Convolution pipelines pair the
 two and never permute at all.
 
 The stage DFT itself dispatches on the plan's *kernel backend*
-(:mod:`repro.ntt.kernels`): the ``loop`` reference walks the
-``radix²`` multiply-accumulate web in interpreted iterations, the
-``limb-matmul`` backend evaluates the same web as a handful of exact
-16-bit-limb float64 matmuls, and the default ``compiled`` backend runs
-it as a radix-2 FFT in C — the software analogues of the FFT-64 unit
-computing a radix-64 DFT in one pipelined pass.
+(:mod:`repro.ntt.kernels`): the ``compiled`` backend runs it as a
+radix-2 FFT in C, and hosts without a compiler evaluate the same web
+as a handful of exact 16-bit-limb float64 matmuls (``limb-matmul``) —
+the software analogues of the FFT-64 unit computing a radix-64 DFT in
+one pipelined pass.  The ``loop`` reference, which walks the
+``radix²`` multiply-accumulate web in interpreted iterations, runs
+only where a test or benchmark pins it.
 The executor ping-pongs between two preallocated working buffers and
 applies twiddles in place, so a transform allocates O(batch·n) once
 instead of churning per-stage temporaries.
@@ -47,17 +48,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.field.vector import vmul
-from repro.ntt.kernels import stage_dft_loop, stage_executor
+from repro.ntt.kernels import stage_executor
 from repro.ntt.plan import ORDER_DECIMATED, TransformPlan
-
-
-def _stage_dft(block_view: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Reference radix-R DFT along axis 1 of a ``(B, R, M)`` array.
-
-    Back-compat shim over :func:`repro.ntt.kernels.stage_dft_loop`,
-    kept as the bit-exactness oracle for the fast kernel.
-    """
-    return stage_dft_loop(block_view, matrix)
 
 
 def execute_plan_batch(values: np.ndarray, plan: TransformPlan) -> np.ndarray:

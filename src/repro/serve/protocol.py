@@ -64,9 +64,20 @@ class ProtocolError(ValueError):
 # -- framing ---------------------------------------------------------------
 
 
+def _digit_limit(error: ValueError) -> ProtocolError:
+    """The typed error for an integer past CPython's int/str digit
+    limit (``sys.get_int_max_str_digits()``, 4,300 by default)."""
+    return ProtocolError(
+        f"integer exceeds the interpreter's int/str digit limit: {error}"
+    )
+
+
 def encode_frame(message: dict) -> bytes:
     """One wire frame: length prefix + compact JSON body."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    try:
+        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    except ValueError as error:
+        raise _digit_limit(error) from None
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame body of {len(body)} bytes exceeds the "
@@ -81,6 +92,8 @@ def decode_body(body: bytes) -> dict:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"frame body is not JSON: {error}") from None
+    except ValueError as error:
+        raise _digit_limit(error) from None
     if not isinstance(message, dict):
         raise ProtocolError("frame body must be a JSON object")
     return message

@@ -276,8 +276,21 @@ class ServiceServer:
                 else None
             )
         try:
-            async with write_lock:
-                await write_frame(writer, response.to_wire(encoded))
+            try:
+                async with write_lock:
+                    await write_frame(writer, response.to_wire(encoded))
+            except ProtocolError as error:
+                # The result does not fit a frame; nothing was written.
+                async with write_lock:
+                    await write_frame(
+                        writer,
+                        Response(
+                            status=STATUS_ERROR,
+                            request_id=request_id,
+                            error=str(error),
+                            error_type=ProtocolError.__name__,
+                        ).to_wire(),
+                    )
         except (ConnectionError, OSError):
             pass  # client went away; the job's work is already done
         self._count_request()

@@ -22,7 +22,6 @@ import numpy as np
 from repro.ntt.convolution import pointwise_mul
 from repro.ntt.plan import (
     ORDER_DECIMATED,
-    ORDER_NATURAL,
     TransformPlan,
     decimated_companion,
     plan_for_size,
@@ -57,28 +56,17 @@ class SSAMultiplier:
         NTT stage factorization; defaults to the paper's
         ``(64, 64, 16)`` when the transform size is 64K, otherwise a
         greedy high-radix plan.
-    kernel:
-        Stage-DFT backend for the NTT plan (``"loop"``,
-        ``"limb-matmul"`` or ``"compiled"``); ``None`` resolves through
-        the ``REPRO_NTT_KERNEL`` environment variable, defaulting to
-        ``compiled`` when its C library loads, else ``limb-matmul``.
     plan:
-        A prebuilt :class:`~repro.ntt.plan.TransformPlan` to use
-        instead of consulting the module-global plan cache — this is
-        how :class:`repro.engine.Engine` pins its multipliers to a
-        per-engine cache.  Must match ``params.transform_size``.  A
-        natural-ordering plan is accepted as the canonical handle (the
-        decimated convolution pair is derived from it); a decimated
-        plan pins the convolution pair directly.
-    ordering:
-        Spectrum ordering of the convolution sandwich inside
-        ``multiply``/``multiply_many``/``square``:
-        :data:`~repro.ntt.plan.ORDER_DECIMATED` (the default) runs the
-        permutation-free DIF/DIT pair, zero digit-reversal gathers;
-        :data:`~repro.ntt.plan.ORDER_NATURAL` pins the historical
-        permuted route (the bit-exactness/bench baseline).
-        :meth:`forward_transform` always returns *natural-order*
-        spectra regardless.
+        A prebuilt natural-ordering
+        :class:`~repro.ntt.plan.TransformPlan` to use instead of
+        consulting the module-global plan cache — this is how
+        :class:`repro.engine.Engine` pins its multipliers to a
+        per-engine cache.  Must match ``params.transform_size``.
+
+    ``multiply``/``multiply_many``/``square`` always convolve on the
+    plan's permutation-free :func:`~repro.ntt.plan.decimated_companion`
+    (:attr:`convolution_plan`), zero digit-reversal gathers;
+    :meth:`forward_transform` returns *natural-order* spectra.
 
     Examples
     --------
@@ -89,30 +77,22 @@ class SSAMultiplier:
 
     params: SSAParameters = PAPER_PARAMETERS
     radices: Optional[Sequence[int]] = None
-    kernel: Optional[str] = None
     plan: Optional[TransformPlan] = field(
         default=None, repr=False, compare=False
     )
-    ordering: Optional[str] = None
-    _plan: TransformPlan = field(init=False, repr=False, compare=False)
-    #: The plan pair the convolution sandwich executes — the decimated
-    #: companion of ``plan`` unless ``ordering=ORDER_NATURAL`` pins the
-    #: permuted oracle route.
+    #: The decimated pair the convolution sandwich executes.
     convolution_plan: TransformPlan = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         self.params.validate()
-        resolved_ordering = (
-            ORDER_DECIMATED if self.ordering is None else self.ordering
-        )
-        if resolved_ordering not in (ORDER_NATURAL, ORDER_DECIMATED):
-            raise ValueError(
-                f"unknown ordering {self.ordering!r}; expected "
-                f"{ORDER_NATURAL!r} or {ORDER_DECIMATED!r}"
+        if self.plan is None:
+            self.plan = plan_for_size(
+                self.params.transform_size,
+                tuple(self.radices) if self.radices is not None else None,
             )
-        if self.plan is not None:
+        else:
             if self.plan.n != self.params.transform_size:
                 raise ValueError(
                     f"plan is {self.plan.n}-point but params need "
@@ -122,48 +102,16 @@ class SSAMultiplier:
                 self.radices
             ):
                 raise ValueError("plan radices disagree with radices=")
-            if self.kernel is not None and self.plan.kernel != self.kernel:
-                raise ValueError(
-                    f"plan runs the {self.plan.kernel!r} kernel but "
-                    f"kernel={self.kernel!r} was requested"
-                )
             if self.plan.ordering == ORDER_DECIMATED:
-                if self.plan.base_plan is None:
-                    raise ValueError(
-                        "decimated plan carries no natural base_plan"
-                    )
-                self.convolution_plan = self.plan
-                self._plan = self.plan.base_plan
-            else:
-                self._plan = self.plan
-                self.convolution_plan = (
-                    decimated_companion(self.plan)
-                    if resolved_ordering == ORDER_DECIMATED
-                    else self.plan
+                raise ValueError(
+                    "pass the natural-ordering plan; the multiplier "
+                    "convolves on its decimated companion"
                 )
-            return
-        self._plan = plan_for_size(
-            self.params.transform_size,
-            tuple(self.radices) if self.radices is not None else None,
-            kernel=self.kernel,
-        )
-        self.convolution_plan = (
-            decimated_companion(self._plan)
-            if resolved_ordering == ORDER_DECIMATED
-            else self._plan
-        )
-        # ``plan`` doubles as the public accessor (it used to be a
-        # read-only property); after init it always holds the live
-        # natural-ordering plan.
-        self.plan = self._plan
+        self.convolution_plan = decimated_companion(self.plan)
 
     @classmethod
     def for_bits(
-        cls,
-        operand_bits: int,
-        coefficient_bits: int = 24,
-        kernel: Optional[str] = None,
-        ordering: Optional[str] = None,
+        cls, operand_bits: int, coefficient_bits: int = 24
     ) -> "SSAMultiplier":
         """Build a multiplier able to handle ``operand_bits`` operands.
 
@@ -171,20 +119,11 @@ class SSAMultiplier:
         transform size stays a power of two
         (:func:`repro.ssa.encode.params_for_bits`).
         """
-        return cls(
-            params=params_for_bits(operand_bits, coefficient_bits),
-            kernel=kernel,
-            ordering=ordering,
-        )
+        return cls(params=params_for_bits(operand_bits, coefficient_bits))
 
     def forward_transform(self, value: int) -> np.ndarray:
-        """Decompose an operand and return its *natural-order* spectrum.
-
-        Always executed under the natural-ordering plan so explicit
-        spectrum inspection keeps its historical layout, independent of
-        the ``ordering`` the convolution sandwich runs with.
-        """
-        return execute_plan(decompose(value, self.params), self._plan)
+        """Decompose an operand and return its *natural-order* spectrum."""
+        return execute_plan(decompose(value, self.params), self.plan)
 
     def multiply(self, a: int, b: int) -> int:
         """Exact product ``a · b`` via the full SSA pipeline."""

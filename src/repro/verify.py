@@ -20,12 +20,12 @@ before trusting any number the library prints:
     bit-identical to ``software``, ``JobScheduler`` submit/map
     ordering intact;
 11. fused negacyclic plans (ψ-twist folded into stage constants)
-    bit-identical to the explicit-twist ``loop``-kernel oracle, on
-    every stage kernel this host runs and through the hw-model ring;
+    bit-identical to the big-integer convolution oracle, on every
+    stage kernel this host runs and through the hw-model ring;
 12. permutation-free (decimated) plan pairs: DIF-forward spectra are
     the natural spectra under the digit-reversal permutation, and
     cyclic/fused-negacyclic convolutions through the DIT inverse are
-    bit-identical to the natural-order ``loop`` oracle, including
+    bit-identical to the big-integer convolution oracle, including
     through the hw-model ring;
 13. the fault-tolerant runtime: a ``software-mp`` batch with one
     worker SIGKILLed mid-shard recovers automatically — the respawned
@@ -269,28 +269,44 @@ def _check_jobs_mp() -> CheckResult:
     )
 
 
+def _random_rows(rng: random.Random, count: int, n: int):
+    import numpy as np
+
+    from repro.field.solinas import P
+
+    return np.array(
+        [[rng.randrange(P) for _ in range(n)] for _ in range(count)],
+        dtype=np.uint64,
+    )
+
+
+def _convolution_oracle(a, b, negacyclic: bool):
+    """Row-wise :func:`repro.ntt.reference.convolution_reference`."""
+    import numpy as np
+
+    from repro.ntt.reference import convolution_reference
+
+    return np.array(
+        [
+            convolution_reference(x.tolist(), y.tolist(), negacyclic)
+            for x, y in zip(a, b)
+        ],
+        dtype=np.uint64,
+    )
+
+
 def _check_negacyclic_fused() -> CheckResult:
     import numpy as np
 
     from repro.engine import Engine
-    from repro.field.solinas import P
     from repro.ntt.kernels import available_kernels
     from repro.ntt.negacyclic import negacyclic_convolution_many
     from repro.ntt.plan import TWIST_NEGACYCLIC, plan_for_size
 
     rng = random.Random(9)
     n, radices = 256, (16, 4, 4)
-    a = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
-    b = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
-    oracle = negacyclic_convolution_many(
-        a, b, plan_for_size(n, radices, kernel="loop")
-    )
+    a, b = _random_rows(rng, 3, n), _random_rows(rng, 3, n)
+    oracle = _convolution_oracle(a, b, negacyclic=True)
     fused_ok = all(
         np.array_equal(
             oracle,
@@ -311,7 +327,7 @@ def _check_negacyclic_fused() -> CheckResult:
         Engine(backend="hw-model").ring(n).negacyclic_convolve(a, b),
     )
     return CheckResult(
-        "fused negacyclic plans vs explicit-twist loop oracle",
+        "fused negacyclic plans vs big-integer convolution oracle",
         fused_ok and hw_ok,
     )
 
@@ -320,60 +336,43 @@ def _check_ordering() -> CheckResult:
     import numpy as np
 
     from repro.engine import Engine
-    from repro.field.solinas import P
     from repro.ntt.convolution import cyclic_convolution_many
     from repro.ntt.negacyclic import negacyclic_convolution_many
     from repro.ntt.order import reorder_to_natural
     from repro.ntt.plan import (
-        ORDER_DECIMATED,
         TWIST_NEGACYCLIC,
+        decimated_companion,
         plan_for_size,
     )
     from repro.ntt.staged import execute_plan_batch
 
     rng = random.Random(10)
     n, radices = 256, (4, 16, 4)
-    a = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
-    b = np.array(
-        [[rng.randrange(P) for _ in range(n)] for _ in range(3)],
-        dtype=np.uint64,
-    )
+    a, b = _random_rows(rng, 3, n), _random_rows(rng, 3, n)
     natural = plan_for_size(n, radices, kernel="loop")
-    decimated = plan_for_size(
-        n, radices, kernel="loop", ordering=ORDER_DECIMATED
-    )
+    decimated = decimated_companion(natural)
     spectra_ok = np.array_equal(
         reorder_to_natural(execute_plan_batch(a, decimated), decimated),
         execute_plan_batch(a, natural),
     )
-    conv_ok = np.array_equal(
-        cyclic_convolution_many(a, b, decimated),
-        cyclic_convolution_many(a, b, natural),
-    )
+    cyclic = _convolution_oracle(a, b, negacyclic=False)
+    conv_ok = np.array_equal(cyclic_convolution_many(a, b, decimated), cyclic)
     fused_ok = np.array_equal(
         negacyclic_convolution_many(
             a,
             b,
-            plan_for_size(
-                n,
-                radices,
-                kernel="limb-matmul",
-                twist=TWIST_NEGACYCLIC,
-                ordering=ORDER_DECIMATED,
+            decimated_companion(
+                plan_for_size(
+                    n, radices, kernel="limb-matmul", twist=TWIST_NEGACYCLIC
+                )
             ),
         ),
-        negacyclic_convolution_many(a, b, natural),
+        _convolution_oracle(a, b, negacyclic=True),
     )
     hw_ring = Engine(backend="hw-model").ring(n)
-    hw_ok = np.array_equal(
-        hw_ring.convolve(a, b),
-        cyclic_convolution_many(a, b, natural),
-    )
+    hw_ok = np.array_equal(hw_ring.convolve(a, b), cyclic)
     return CheckResult(
-        "permutation-free plans vs natural-order loop oracle",
+        "permutation-free plans vs big-integer convolution oracle",
         spectra_ok and conv_ok and fused_ok and hw_ok,
     )
 

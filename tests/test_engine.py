@@ -1,10 +1,9 @@
 """Tests for the :mod:`repro.engine` façade.
 
-Covers the ISSUE 3 surface: scalar-vs-batch polymorphism of
+Covers the engine surface: scalar-vs-batch polymorphism of
 ``engine.ring(n)``, bit-identity of the ``software`` and ``hw-model``
-backends, per-engine plan caching, the one-shot ``REPRO_NTT_KERNEL``
-environment read with its documented precedence, FHE context binding,
-and the top-level deprecation shims.
+backends, per-engine plan caching on the host's stage kernel, FHE
+context binding, and the top-level deprecation shims.
 """
 
 import random
@@ -32,9 +31,7 @@ from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.ntt.convolution import cyclic_convolution
 from repro.ntt.kernels import (
     KERNEL_COMPILED,
-    KERNEL_ENV_VAR,
     KERNEL_LIMB_MATMUL,
-    KERNEL_LOOP,
 )
 from repro.ntt.negacyclic import negacyclic_convolution
 from repro.ntt.plan import plan_cache_stats
@@ -46,33 +43,19 @@ def _rows(rng, batch, n):
 
 
 class TestExecutionConfig:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    def test_defaults(self):
         config = ExecutionConfig.default()
-        assert config.kernel == (
-            KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
-        )
         assert config.cache == "private"
         assert config.pes == 4
-
-    def test_env_read_once_at_construction(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LOOP)
-        config = ExecutionConfig()
-        assert config.kernel == KERNEL_LOOP
-        # Later environment changes do not rewrite a built config.
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LIMB_MATMUL)
-        assert config.kernel == KERNEL_LOOP
-
-    def test_explicit_kernel_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LOOP)
-        assert ExecutionConfig(kernel=KERNEL_LIMB_MATMUL).kernel == (
-            KERNEL_LIMB_MATMUL
+        # The host, not the config, picks the stage kernel.
+        assert Engine(config=config).plan(64).kernel == (
+            KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
         )
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"kernel": "nope"},
+            {"max_respawns": -1},
             {"batch_chunk": 0},
             {"pes": 3},
             {"fidelity": "exactly"},
@@ -92,26 +75,21 @@ class TestExecutionConfig:
         assert base.pes == 4
 
     def test_hashable_and_comparable(self):
-        one = ExecutionConfig(kernel=KERNEL_LOOP, workers=2)
-        two = ExecutionConfig(kernel=KERNEL_LOOP, workers=2)
-        other = ExecutionConfig(kernel=KERNEL_LOOP, workers=3)
+        one = ExecutionConfig(batch_chunk=8, workers=2)
+        two = ExecutionConfig(batch_chunk=8, workers=2)
+        other = ExecutionConfig(batch_chunk=8, workers=3)
         assert one == two
         assert hash(one) == hash(two)
         assert one != other
         assert len({one, two, other}) == 2  # usable as a dict/pool key
 
-    def test_pickle_round_trip_stable(self, monkeypatch):
+    def test_pickle_round_trip_stable(self):
         import pickle
 
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         config = ExecutionConfig(batch_chunk=16, pes=8, workers=2)
-        # Unpickling in an environment demanding a different kernel
-        # must NOT re-resolve: the construction-time choice travels.
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LOOP)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert hash(clone) == hash(config)
-        assert clone.kernel == config.kernel != KERNEL_LOOP
         # double round-trip (what a respawned worker would see)
         again = pickle.loads(pickle.dumps(clone))
         assert again == config
@@ -428,16 +406,19 @@ class TestEngineMultiply:
         assert len(repr(Engine().multiplier(bits=1024))) < 500
 
     def test_plan_kernel_consistency_checked(self):
+        from repro.ntt.plan import decimated_companion
         from repro.ssa.multiplier import SSAMultiplier
 
         engine = Engine()
-        plan = engine.plan(128, kernel=KERNEL_LOOP)
-        with pytest.raises(ValueError, match="kernel"):
-            SSAMultiplier(
-                params=m_params(),
-                kernel=KERNEL_LIMB_MATMUL,
-                plan=plan,
-            )
+        with pytest.raises(ValueError, match="point"):
+            SSAMultiplier(params=m_params(), plan=engine.plan(256))
+        # The multiplier takes the natural plan and convolves on its
+        # decimated companion; a decimated plan is refused.
+        plan = engine.plan(128)
+        with pytest.raises(ValueError, match="natural"):
+            SSAMultiplier(params=m_params(), plan=decimated_companion(plan))
+        multiplier = SSAMultiplier(params=m_params(), plan=plan)
+        assert multiplier.convolution_plan is decimated_companion(plan)
 
     def test_multiplier_arg_validation(self):
         engine = Engine()
@@ -475,13 +456,17 @@ class TestEngineFHE:
         assert [scheme.decrypt(keys, c) for c in ands] == [0, 0, 0, 1]
 
     def test_rlwe_bound_to_engine_plan(self):
-        from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC
+        from repro.ntt.plan import (
+            ORDER_DECIMATED,
+            TWIST_NEGACYCLIC,
+            decimated_companion,
+        )
 
         engine = Engine()
         params = RLWEParams(n=64, t=64, noise_bound=4)
         scheme = engine.fhe(params, rng=random.Random(37))
-        assert scheme.plan is engine.plan(
-            64, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED
+        assert scheme.plan is decimated_companion(
+            engine.plan(64, twist=TWIST_NEGACYCLIC)
         )
         assert scheme.plan.twist == TWIST_NEGACYCLIC
         assert scheme.plan.ordering == ORDER_DECIMATED

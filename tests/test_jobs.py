@@ -128,9 +128,9 @@ class TestSubmit:
 
 class TestSchedulerLifecycle:
     def test_construct_from_config(self):
-        scheduler = JobScheduler(ExecutionConfig(kernel="loop"))
+        scheduler = JobScheduler(ExecutionConfig(batch_chunk=3))
         try:
-            assert scheduler.engine.config.kernel == "loop"
+            assert scheduler.engine.config.batch_chunk == 3
             assert scheduler.submit(MultiplyJob.of(4, 5)).result() == [20]
         finally:
             scheduler.shutdown()

@@ -19,7 +19,7 @@ import repro
 from repro import native
 from repro.field.solinas import P
 from repro.field.vector import vmul
-from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC, plan_for_size
+from repro.ntt.plan import TWIST_NEGACYCLIC, decimated_companion, plan_for_size
 from repro.ntt.staged import execute_plan_batch
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -130,7 +130,7 @@ from repro import native
 from repro.engine import Engine
 from repro.field.vector import vmul
 from repro.ntt import kernels
-from repro.ntt.plan import ORDER_DECIMATED, TWIST_NEGACYCLIC, plan_for_size
+from repro.ntt.plan import TWIST_NEGACYCLIC, decimated_companion, plan_for_size
 from repro.ntt.staged import execute_plan_batch
 
 try:
@@ -139,7 +139,7 @@ try:
 except native.CompileError as exc:
     error = str(exc)
 rows = np.arange(3 * 256, dtype=np.uint64).reshape(3, 256) * np.uint64(2**40 + 3)
-plan = plan_for_size(256, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED)
+plan = decimated_companion(plan_for_size(256, twist=TWIST_NEGACYCLIC))
 a, b = 3**40000, 7**30000
 print(json.dumps({
     "available": list(kernels.available_kernels()),
@@ -170,7 +170,7 @@ def test_no_compiler_falls_back_to_numpy_with_identical_results(tmp_path):
     rows = np.arange(3 * 256, dtype=np.uint64).reshape(3, 256) * np.uint64(
         2**40 + 3
     )
-    plan = plan_for_size(256, twist=TWIST_NEGACYCLIC, ordering=ORDER_DECIMATED)
+    plan = decimated_companion(plan_for_size(256, twist=TWIST_NEGACYCLIC))
     assert probe["vmul"] == vmul(rows, rows[::-1].copy()).tolist()
     assert probe["spectra"] == execute_plan_batch(rows, plan).tolist()
     assert probe["product"] is True

@@ -1,11 +1,16 @@
-"""Property tests: the limb-matmul and compiled kernels are
-bit-identical to the loop kernel (repro.ntt.kernels) across radices,
-stage shapes and batches."""
+"""Stage kernels (repro.ntt.kernels): the limb-matmul and compiled
+kernels against ``loop`` on raw stage shapes, whole plans per kernel
+against the reference oracle, and the host's kernel choice.
+
+Every plan flavour's stages are checked kernel against kernel in
+``tests/test_ntt_differential.py``, whose helpers these tests share.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_ntt_differential import FAST_KERNELS, check_spectra, edge_salted, oracle
 
 from repro import native
 from repro.field.roots import root_of_unity
@@ -13,7 +18,6 @@ from repro.field.solinas import P, pow_mod
 from repro.field.vector import vmul
 from repro.ntt.kernels import (
     KERNEL_COMPILED,
-    KERNEL_ENV_VAR,
     KERNEL_LIMB_MATMUL,
     KERNEL_LOOP,
     available_kernels,
@@ -30,44 +34,12 @@ from repro.ntt.negacyclic import (
     negacyclic_inverse_many,
     negacyclic_transform_many,
 )
-from repro.ntt.plan import StageSpec, _dft_matrix, plan_for_size
-from repro.ntt.staged import (
-    execute_plan_batch,
-    execute_plan_inverse_batch,
-)
+from repro.ntt.plan import PlanCache, StageSpec, _dft_matrix, plan_for_size
+from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
 
-#: Values straddling every limb boundary of the 16-bit decomposition.
-EDGE_RESIDUES = [
-    0,
-    1,
-    (1 << 16) - 1,
-    1 << 16,
-    (1 << 32) - 1,
-    1 << 32,
-    (1 << 48) - 1,
-    1 << 48,
-    P - 1,
-    P - 2,
-    P - (1 << 32),
-]
-
-
-#: The fast kernels this host runs, each checked against ``loop``.
-FAST_KERNELS = [k for k in available_kernels() if k != KERNEL_LOOP]
 needs_compiled = pytest.mark.skipif(
     not native.available(), reason="no C compiler"
 )
-
-
-def _random_block(rng, b, radix, tail, edge_bias=0.25):
-    """Canonical residues with edge values salted in."""
-    data = rng.integers(0, P, size=(b, radix, tail), dtype=np.uint64)
-    mask = rng.random(size=data.shape) < edge_bias
-    edges = rng.choice(
-        np.array(EDGE_RESIDUES, dtype=np.uint64), size=data.shape
-    )
-    data[mask] = edges[mask]
-    return data
 
 
 class TestStageKernelEquivalence:
@@ -84,8 +56,8 @@ class TestStageKernelEquivalence:
         """Arbitrary canonical matrices — not just DFT matrices — so the
         partial-product bounds are exercised at full operand range."""
         rng = np.random.default_rng(seed)
-        matrix = _random_block(rng, 1, radix, radix)[0]
-        data = _random_block(rng, b, radix, tail)
+        matrix = edge_salted(rng, (radix, radix))
+        data = edge_salted(rng, (b, radix, tail))
         want = stage_dft_loop(data, matrix)
         got = stage_dft_limb_matmul(data, limb_decompose_matrix(matrix))
         assert np.array_equal(want, got)
@@ -101,8 +73,8 @@ class TestStageKernelEquivalence:
 
     def test_out_parameter_returned_and_filled(self):
         rng = np.random.default_rng(3)
-        matrix = _random_block(rng, 1, 8, 8)[0]
-        data = _random_block(rng, 2, 8, 5)
+        matrix = edge_salted(rng, (8, 8))
+        data = edge_salted(rng, (2, 8, 5))
         want = stage_dft_loop(data, matrix)
         for kernel in (
             lambda d, o: stage_dft_loop(d, matrix, out=o),
@@ -122,8 +94,8 @@ class TestStageKernelEquivalence:
         radix, tail = 16, 64
         rows_per_chunk = max(1, kernels._CHUNK_ELEMS // (radix * tail))
         b = 2 * rows_per_chunk + 1
-        matrix = _random_block(rng, 1, radix, radix)[0]
-        data = _random_block(rng, b, radix, tail)
+        matrix = edge_salted(rng, (radix, radix))
+        data = edge_salted(rng, (b, radix, tail))
         want = stage_dft_loop(data, matrix)
         got = stage_dft_limb_matmul(data, limb_decompose_matrix(matrix))
         assert np.array_equal(want, got)
@@ -188,7 +160,7 @@ class TestCompiledStage:
         # Any primitive root: an odd power of the canonical one.
         root = pow_mod(root_of_unity(radix), 2 * int(rng.integers(radix)) + 1)
         matrix = _scaled_dft(rng, radix, root, scale_cols, scale_rows)
-        data = _random_block(rng, b, radix, tail)
+        data = edge_salted(rng, (b, radix, tail))
         stage, got = self._run(data, matrix)
         assert stage.factors is not None
         assert np.array_equal(got, stage_dft_loop(data, matrix))
@@ -220,7 +192,7 @@ class TestCompiledStage:
         rng = np.random.default_rng(12)
         matrix = rng.integers(0, P, size=(8, 8), dtype=np.uint64)
         assert factor_stage(matrix) is None
-        data = _random_block(rng, 3, 8, 5)
+        data = edge_salted(rng, (3, 8, 5))
         stage, got = self._run(data, matrix)
         assert stage.factors is None
         assert np.array_equal(got, stage_dft_loop(data, matrix))
@@ -250,7 +222,7 @@ class TestCompiledStage:
     def test_layout_it_does_not_take_runs_limb_matmul(self):
         rng = np.random.default_rng(13)
         matrix = _dft_matrix_of(16)
-        data = _random_block(rng, 2, 16, 8)[:, :, ::2]  # not contiguous
+        data = edge_salted(rng, (2, 16, 8))[:, :, ::2]  # not contiguous
         _, got = self._run(data, matrix)
         assert np.array_equal(got, stage_dft_loop(data, matrix))
 
@@ -269,7 +241,7 @@ CONFIGS = [
 
 
 class TestPlanEquivalence:
-    """Full plans: limb-matmul and compiled transforms == loop."""
+    """Whole plans on each fast kernel against the reference oracle."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -280,51 +252,47 @@ class TestPlanEquivalence:
     )
     def test_forward_and_inverse(self, config, kernel, batch, seed):
         n, radices = config
-        loop_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(n, radices, kernel=kernel)
+        plan = plan_for_size(n, radices, kernel=kernel)
         # Every stage of a real plan factors for the compiled kernel.
-        stages = fast_plan.stages + fast_plan.inverse_plan.stages
+        stages = plan.stages + plan.inverse_plan.stages
         assert all(stage.factors is not None for stage in stages)
         rng = np.random.default_rng(seed)
-        matrix = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
-        want = execute_plan_batch(matrix, loop_plan)
-        got = execute_plan_batch(matrix, fast_plan)
-        assert np.array_equal(want, got)
-        assert np.array_equal(
-            execute_plan_inverse_batch(want, loop_plan),
-            execute_plan_inverse_batch(got, fast_plan),
+        check_spectra(
+            lambda rows: execute_plan_batch(rows, plan),
+            lambda rows: execute_plan_inverse_batch(rows, plan),
+            edge_salted(rng, (batch, n)),
+            edge_salted(rng, (batch, n)),
+            negacyclic=False,
         )
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     @pytest.mark.parametrize("batch", [0, 1])
     def test_empty_and_single_batches(self, kernel, batch):
-        loop_plan = plan_for_size(1024, (64, 16), kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(1024, (64, 16), kernel=kernel)
+        plan = plan_for_size(1024, (64, 16), kernel=kernel)
         rng = np.random.default_rng(batch)
-        matrix = rng.integers(0, P, size=(batch, 1024), dtype=np.uint64)
-        want = execute_plan_batch(matrix, loop_plan)
-        got = execute_plan_batch(matrix, fast_plan)
-        assert got.shape == (batch, 1024)
-        assert np.array_equal(want, got)
-        assert np.array_equal(
-            execute_plan_inverse_batch(want, loop_plan),
-            execute_plan_inverse_batch(got, fast_plan),
+        a = rng.integers(0, P, size=(batch, 1024), dtype=np.uint64)
+        b = rng.integers(0, P, size=(batch, 1024), dtype=np.uint64)
+        assert execute_plan_batch(a, plan).shape == (batch, 1024)
+        check_spectra(
+            lambda rows: execute_plan_batch(rows, plan),
+            lambda rows: execute_plan_inverse_batch(rows, plan),
+            a,
+            b,
+            negacyclic=False,
         )
 
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     @pytest.mark.parametrize("value", [0, 1, P - 1])
     def test_constant_residues(self, kernel, value):
-        loop_plan = plan_for_size(256, (16, 16), kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(256, (16, 16), kernel=kernel)
+        """The transforms of a constant row ``c``: ``n·c`` at frequency
+        0 forward, ``c`` at index 0 inverse, zeros elsewhere."""
+        plan = plan_for_size(256, (16, 16), kernel=kernel)
         matrix = np.full((2, 256), np.uint64(value))
-        assert np.array_equal(
-            execute_plan_batch(matrix, loop_plan),
-            execute_plan_batch(matrix, fast_plan),
-        )
-        assert np.array_equal(
-            execute_plan_inverse_batch(matrix, loop_plan),
-            execute_plan_inverse_batch(matrix, fast_plan),
-        )
+        impulse = np.zeros_like(matrix)
+        impulse[:, 0] = value * 256 % P
+        assert np.array_equal(execute_plan_batch(matrix, plan), impulse)
+        impulse[:, 0] = value
+        assert np.array_equal(execute_plan_inverse_batch(matrix, plan), impulse)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -334,22 +302,21 @@ class TestPlanEquivalence:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_negacyclic_wrappers(self, config, kernel, batch, seed):
+        """The explicit-twist route on a cyclic plan of each kernel."""
         n, radices = config
-        loop_plan = plan_for_size(n, radices, kernel=KERNEL_LOOP)
-        fast_plan = plan_for_size(n, radices, kernel=kernel)
+        plan = plan_for_size(n, radices, kernel=kernel)
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
-        b = rng.integers(0, P, size=(batch, n), dtype=np.uint64)
+        a = edge_salted(rng, (batch, n))
+        b = edge_salted(rng, (batch, n))
         assert np.array_equal(
-            negacyclic_convolution_many(a, b, loop_plan),
-            negacyclic_convolution_many(a, b, fast_plan),
+            negacyclic_convolution_many(a, b, plan), oracle(a, b, True)
         )
-        spectra_loop = negacyclic_transform_many(a, loop_plan)
-        spectra_fast = negacyclic_transform_many(a, fast_plan)
-        assert np.array_equal(spectra_loop, spectra_fast)
-        assert np.array_equal(
-            negacyclic_inverse_many(spectra_loop, loop_plan),
-            negacyclic_inverse_many(spectra_fast, fast_plan),
+        check_spectra(
+            lambda rows: negacyclic_transform_many(rows, plan),
+            lambda rows: negacyclic_inverse_many(rows, plan),
+            a,
+            b,
+            negacyclic=True,
         )
 
 
@@ -361,23 +328,11 @@ class TestBackendSelection:
             KERNEL_LIMB_MATMUL,
         } | compiled
 
-    def test_default_is_compiled_when_library_loads(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert default_kernel() == (
+    def test_default_is_compiled_when_library_loads(self):
+        assert default_kernel() == resolve_kernel(None) == (
             KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
         )
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LOOP)
-        assert default_kernel() == KERNEL_LOOP
-        assert resolve_kernel(None) == KERNEL_LOOP
-        plan = plan_for_size(16, (4, 4), kernel=None)
-        assert plan.kernel == KERNEL_LOOP
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_LOOP)
-        plan = plan_for_size(16, (4, 4), kernel=KERNEL_LIMB_MATMUL)
-        assert plan.kernel == KERNEL_LIMB_MATMUL
+        assert plan_for_size(16, (4, 4)).kernel == default_kernel()
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -394,23 +349,30 @@ class TestBackendSelection:
         assert fast_plan.inverse_plan.kernel == KERNEL_LIMB_MATMUL
 
     def test_plan_precomputes_limb_matrices(self):
-        plan = plan_for_size(64, (8, 8), kernel=KERNEL_LIMB_MATMUL)
+        """A plan builds only the tables its kernel reads, on first
+        use: limb planes for limb-matmul, none for compiled."""
+        ones = np.ones((1, 64), dtype=np.uint64)
+        for kernel in FAST_KERNELS:
+            plan = PlanCache().plan_for_size(64, (8, 8), kernel=kernel)
+            assert not any("dft_limbs" in vars(s) for s in plan.stages)
+            execute_plan_batch(ones, plan)
+            built = ["dft_limbs" in vars(s) for s in plan.stages]
+            assert built == [kernel == KERNEL_LIMB_MATMUL] * len(built)
         for stage in plan.stages:
-            assert stage.dft_limbs is not None
+            assert stage.dft_limbs is stage.dft_limbs  # cached
             assert stage.dft_limbs.shape == (4, stage.radix, stage.radix)
             assert np.array_equal(
                 stage.dft_limbs, limb_decompose_matrix(stage.dft_matrix)
             )
 
     def test_hand_built_stage_decomposed_at_construction(self):
-        """StageSpecs built without cached limbs get them in
-        ``__post_init__`` and execute on the fast kernel."""
+        """A hand-built StageSpec derives its limb planes from its
+        matrix and executes on the limb-matmul kernel."""
         rng = np.random.default_rng(9)
         matrix = rng.integers(0, P, size=(4, 4), dtype=np.uint64)
         stage = StageSpec(
             radix=4, sub_transforms=1, dft_matrix=matrix, twiddles=None
         )
-        assert stage.dft_limbs is not None
         assert np.array_equal(
             stage.dft_limbs, limb_decompose_matrix(matrix)
         )

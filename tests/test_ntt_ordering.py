@@ -1,11 +1,17 @@
-"""Permutation-free (decimated) plan pairs: DIF forward / DIT inverse
-equivalence against the natural-order ``loop`` oracle across radix
-mixes, shapes, fused plans and compute backends."""
+"""Permutation-free (decimated) plan pairs: construction invariants and
+DIF forward / DIT inverse equivalence against the reference oracle
+across radix mixes, shapes, fused plans and compute backends.
+
+A decimated pair is reached only through ``decimated_companion`` of a
+natural plan.  Each DIT stage is checked kernel against kernel in
+``tests/test_ntt_differential.py``, whose helpers these tests share.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_ntt_differential import oracle, twisted_dft
 
 from repro.engine import Engine, ExecutionConfig
 from repro.field.solinas import P
@@ -20,6 +26,7 @@ from repro.ntt.plan import (
     ORDER_DECIMATED,
     ORDER_NATURAL,
     TWIST_NEGACYCLIC,
+    PlanCache,
     decimated_companion,
     plan_for_size,
 )
@@ -45,19 +52,20 @@ def _rows(rng, batch, n):
     return rng.integers(0, P, size=(batch, n), dtype=np.uint64)
 
 
-def _natural(n, radices):
-    return plan_for_size(n, radices, kernel=KERNEL_LOOP)
+def _decimated(n, radices, **kwargs):
+    return decimated_companion(plan_for_size(n, radices, **kwargs))
 
 
 class TestDecimatedPlanConstruction:
     def test_cache_returns_companion_identity(self):
-        natural = plan_for_size(64, (8, 8))
-        decimated = plan_for_size(64, (8, 8), ordering=ORDER_DECIMATED)
-        assert decimated is decimated_companion(natural)
-        assert decimated is plan_for_size(
-            64, (8, 8), ordering=ORDER_DECIMATED
-        )
+        """The cache holds natural plans only; every holder of one
+        resolves the same memoized companion."""
+        cache = PlanCache()
+        natural = cache.plan_for_size(64, (8, 8))
+        decimated = decimated_companion(natural)
+        assert decimated is decimated_companion(cache.plan_for_size(64, (8, 8)))
         assert decimated is not natural
+        assert len(cache) == 1
 
     def test_orderings_and_linkage(self):
         natural = plan_for_size(64, (8, 8))
@@ -70,19 +78,13 @@ class TestDecimatedPlanConstruction:
         assert not decimated.dit
 
     def test_decimated_of_decimated_is_itself(self):
-        decimated = plan_for_size(64, (8, 8), ordering=ORDER_DECIMATED)
+        decimated = _decimated(64, (8, 8))
         assert decimated_companion(decimated) is decimated
 
     def test_dit_inverse_reverses_radices(self):
-        decimated = plan_for_size(
-            1024, (64, 16), ordering=ORDER_DECIMATED
-        )
+        decimated = _decimated(1024, (64, 16))
         assert decimated.radices == (64, 16)
         assert decimated.inverse_plan.radices == (16, 64)
-
-    def test_invalid_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            plan_for_size(64, (8, 8), ordering="bitrev")
 
     def test_forward_shares_natural_stage_constants(self):
         natural = plan_for_size(256, (16, 16))
@@ -112,7 +114,7 @@ class TestForwardSpectrumPermutation:
     def test_dit_inverse_roundtrip(self, n, radices):
         rng = np.random.default_rng(2 * n + 1)
         rows = _rows(rng, 4, n)
-        decimated = plan_for_size(n, radices, ordering=ORDER_DECIMATED)
+        decimated = _decimated(n, radices)
         spectra = execute_plan_batch(rows, decimated)
         assert np.array_equal(
             execute_plan_inverse_batch(spectra, decimated), rows
@@ -122,7 +124,7 @@ class TestForwardSpectrumPermutation:
         rng = np.random.default_rng(7)
         rows = _rows(rng, 2, 64)
         keep = rows.copy()
-        decimated = plan_for_size(64, (8, 8), ordering=ORDER_DECIMATED)
+        decimated = _decimated(64, (8, 8))
         execute_plan_batch(rows, decimated)
         assert np.array_equal(rows, keep)
         spectra = execute_plan_batch(rows, decimated)
@@ -134,7 +136,7 @@ class TestForwardSpectrumPermutation:
 class TestReorderHelpers:
     def test_roundtrip(self):
         rng = np.random.default_rng(11)
-        decimated = plan_for_size(256, (16, 16), ordering=ORDER_DECIMATED)
+        decimated = _decimated(256, (16, 16))
         rows = _rows(rng, 5, 256)
         assert np.array_equal(
             reorder_to_decimated(
@@ -159,7 +161,7 @@ class TestReorderHelpers:
             reorder_to_decimated(rows, natural)
 
     def test_wrong_length_rejected(self):
-        decimated = plan_for_size(64, (8, 8), ordering=ORDER_DECIMATED)
+        decimated = _decimated(64, (8, 8))
         with pytest.raises(ValueError, match="last axis"):
             reorder_to_natural(np.zeros(32, dtype=np.uint64), decimated)
 
@@ -183,12 +185,9 @@ class TestConvolutionEquivalence:
     def test_cyclic_many(self, n, radices, kernel):
         rng = np.random.default_rng(3 * n)
         a, b = _rows(rng, 3, n), _rows(rng, 3, n)
-        oracle = cyclic_convolution_many(a, b, _natural(n, radices))
-        decimated = plan_for_size(
-            n, radices, kernel=kernel, ordering=ORDER_DECIMATED
-        )
+        decimated = _decimated(n, radices, kernel=kernel)
         assert np.array_equal(
-            cyclic_convolution_many(a, b, decimated), oracle
+            cyclic_convolution_many(a, b, decimated), oracle(a, b, False)
         )
 
     @pytest.mark.parametrize("n,radices", SHAPES)
@@ -196,47 +195,50 @@ class TestConvolutionEquivalence:
     def test_fused_negacyclic_many(self, n, radices, kernel):
         rng = np.random.default_rng(5 * n)
         a, b = _rows(rng, 3, n), _rows(rng, 3, n)
-        oracle = negacyclic_convolution_many(a, b, _natural(n, radices))
-        fused = plan_for_size(
-            n,
-            radices,
-            kernel=kernel,
-            twist=TWIST_NEGACYCLIC,
-            ordering=ORDER_DECIMATED,
-        )
+        fused = _decimated(n, radices, kernel=kernel, twist=TWIST_NEGACYCLIC)
         stages = fused.stages + fused.inverse_plan.stages
         assert all(stage.factors is not None for stage in stages)
         assert np.array_equal(
-            negacyclic_convolution_many(a, b, fused), oracle
+            negacyclic_convolution_many(a, b, fused), oracle(a, b, True)
         )
 
     def test_negacyclic_broadcast(self):
         rng = np.random.default_rng(17)
         n = 256
-        rows, fixed = _rows(rng, 6, n), _rows(rng, 1, n)[0]
-        oracle = negacyclic_convolution_broadcast(
-            rows, fixed, _natural(n, (16, 16))
-        )
+        rows, fixed = _rows(rng, 6, n), _rows(rng, 1, n)
         assert np.array_equal(
-            negacyclic_convolution_broadcast(rows, fixed), oracle
+            negacyclic_convolution_broadcast(rows, fixed[0]),
+            oracle(rows, np.broadcast_to(fixed, rows.shape), True),
         )
 
-    def test_default_plans_are_decimated(self):
+    def test_default_plans_are_decimated(self, monkeypatch):
+        """``plan=None`` runs the decimated pair, bit-identical to the
+        oracle."""
+        from repro.ntt import convolution
+
+        executed = []
+
+        def spy(values, plan):
+            executed.append(plan.ordering)
+            return execute_plan_batch(values, plan)
+
+        monkeypatch.setattr(convolution, "execute_plan_batch", spy)
         rng = np.random.default_rng(19)
-        n = 64
-        a, b = _rows(rng, 2, n), _rows(rng, 2, n)
-        # plan=None resolves to the decimated pair; the result still
-        # matches the explicit natural oracle bit for bit.
-        assert np.array_equal(
-            cyclic_convolution_many(a, b),
-            cyclic_convolution_many(a, b, _natural(n, (8, 8))),
-        )
+        a, b = _rows(rng, 2, 64), _rows(rng, 2, 64)
+        assert np.array_equal(cyclic_convolution_many(a, b), oracle(a, b, False))
+        assert executed == [ORDER_DECIMATED]
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_hypothesis_equivalence(self, data):
+        """Decimated convolutions on every kernel (``loop`` up to 256
+        points) against the oracle, on drawn residues."""
         n, radices = data.draw(st.sampled_from(SHAPES))
-        kernel = data.draw(st.sampled_from(KERNELS))
+        kernel = data.draw(
+            st.sampled_from(
+                [k for k in KERNELS if n <= 256 or k != KERNEL_LOOP]
+            )
+        )
         negacyclic = data.draw(st.booleans())
         batch = data.draw(st.integers(min_value=1, max_value=3))
         elems = st.integers(min_value=0, max_value=P - 1)
@@ -265,16 +267,13 @@ class TestConvolutionEquivalence:
             if negacyclic
             else cyclic_convolution_many
         )
-        decimated = plan_for_size(
+        decimated = _decimated(
             n,
             radices,
             kernel=kernel,
             twist=TWIST_NEGACYCLIC if negacyclic else "",
-            ordering=ORDER_DECIMATED,
         )
-        assert np.array_equal(
-            conv(a, b, decimated), conv(a, b, _natural(n, radices))
-        )
+        assert np.array_equal(conv(a, b, decimated), oracle(a, b, negacyclic))
 
 
 class TestSSAMultiplierOrdering:
@@ -285,7 +284,13 @@ class TestSSAMultiplierOrdering:
         assert mul.plan.ordering == ORDER_NATURAL
 
     def test_orderings_agree_with_ints(self):
+        """The multiplier's decimated sandwich and the same pipeline on
+        its natural plan both give the integer products."""
         import random
+
+        from repro.ntt.convolution import pointwise_mul
+        from repro.ssa.carry import carry_recover_many
+        from repro.ssa.encode import decompose_many, recompose_many
 
         rng = random.Random(23)
         pairs = [
@@ -293,29 +298,42 @@ class TestSSAMultiplierOrdering:
             for _ in range(3)
         ]
         truth = [a * b for a, b in pairs]
-        decimated = SSAMultiplier.for_bits(4096)
-        natural = SSAMultiplier.for_bits(4096, ordering=ORDER_NATURAL)
-        assert natural.convolution_plan.ordering == ORDER_NATURAL
-        assert decimated.multiply_many(pairs) == truth
-        assert natural.multiply_many(pairs) == truth
+        mul = SSAMultiplier.for_bits(4096)
+        bits = mul.params.coefficient_bits
+        spectra = execute_plan_batch(
+            decompose_many([a for a, _ in pairs] + [b for _, b in pairs], mul.params),
+            mul.plan,
+        )
+        natural = execute_plan_inverse_batch(
+            pointwise_mul(spectra[:3], spectra[3:]), mul.plan
+        )
+        assert recompose_many(carry_recover_many(natural, bits), bits) == truth
+        assert mul.multiply_many(pairs) == truth
         a, b = pairs[0]
-        assert decimated.multiply(a, b) == natural.multiply(a, b) == a * b
+        assert mul.multiply(a, b) == a * b
+        assert mul.square(a) == a * a
 
     def test_forward_transform_stays_natural(self):
+        from repro.ssa.encode import decompose
+
         mul = SSAMultiplier.for_bits(2048)
-        nat = SSAMultiplier.for_bits(2048, ordering=ORDER_NATURAL)
+        digits = decompose(12345, mul.params)[np.newaxis, :]
         assert np.array_equal(
-            mul.forward_transform(12345), nat.forward_transform(12345)
+            mul.forward_transform(12345), twisted_dft(digits, False)[0]
         )
 
 
 class TestBackendIdentity:
     def test_engine_plan_ordering_keying(self):
+        """Engine plans are natural; the decimated pair is the memoized
+        companion and takes no cache entry of its own."""
         engine = Engine()
         natural = engine.plan(256)
-        decimated = engine.plan(256, ordering=ORDER_DECIMATED)
-        assert decimated is decimated_companion(natural)
-        assert engine.plan(256, ordering=ORDER_DECIMATED) is decimated
+        assert natural.ordering == ORDER_NATURAL
+        decimated = decimated_companion(natural)
+        assert decimated is decimated_companion(engine.plan(256))
+        assert decimated is engine.ring(256).convolution_plan
+        assert engine.cache_stats().size == 1
 
     def test_ring_convolution_plans(self):
         ring = Engine().ring(256)
@@ -330,12 +348,7 @@ class TestBackendIdentity:
         rng = np.random.default_rng(29)
         n = 128
         a, b = _rows(rng, 3, n), _rows(rng, 3, n)
-        conv = (
-            negacyclic_convolution_many
-            if negacyclic
-            else cyclic_convolution_many
-        )
-        oracle = conv(a, b, _natural(n, (16, 8)))
+        want = oracle(a, b, negacyclic)
         for backend, config in (
             ("software", None),
             ("hw-model", ExecutionConfig(fidelity="fast")),
@@ -347,7 +360,7 @@ class TestBackendIdentity:
                 else Engine(backend=backend)
             )
             got = engine.ring(n).convolve(a, b, negacyclic=negacyclic)
-            assert np.array_equal(got, oracle), (backend, config)
+            assert np.array_equal(got, want), (backend, config)
 
     def test_software_mp_shared_memory_transfers(self):
         rng = np.random.default_rng(31)

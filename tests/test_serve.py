@@ -48,7 +48,7 @@ from repro.serve import (
 )
 from repro.serve.metrics import percentile
 from repro.serve.ops import ConvolveOp, DGHVMultOp, RLWEMultiplyPlainOp
-from repro.serve.protocol import decode_body, encode_frame
+from repro.serve.protocol import decode_body, encode_frame, read_frame
 
 
 @pytest.fixture(autouse=True)
@@ -852,3 +852,76 @@ class TestTCPService:
             assert response.error_type == "ProtocolError"
             assert "channel 1 " in response.error
         assert accepted.ok
+
+    def test_tcp_operand_past_digit_limit_is_typed_error(self):
+        """A 5,000-digit operand gets the typed ``error`` frame that bad
+        JSON gets, and the server keeps answering new connections."""
+        body = (
+            '{"type":"submit","id":1,"op":"multiply","payload":'
+            '{"pairs":[[' + "7" * 5000 + ",3]]}}"
+        ).encode()
+        service = _service()
+
+        async def scenario():
+            server = await ServiceServer(service, port=0).start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(len(body).to_bytes(4, "big") + body)
+            await writer.drain()
+            reply = await asyncio.wait_for(read_frame(reader), 30)
+            writer.close()
+            async with await AsyncServiceClient.connect(
+                port=server.port
+            ) as client:
+                after = await asyncio.wait_for(
+                    client.submit("multiply", {"pairs": [[6, 7]]}), 30
+                )
+            server.request_stop()
+            await server.serve_until_done()
+            return reply, after
+
+        try:
+            reply, after = asyncio.run(scenario())
+        finally:
+            service.shutdown()
+        assert reply is not None and reply["type"] == "error"
+        assert "4300 digits" in reply["error"]
+        assert after.ok and after.result == [42]
+
+    def test_tcp_product_past_digit_limit_is_typed_error(self):
+        """Two 4,000-digit operands decode, but their 8,000-digit
+        product cannot be encoded: the client gets a typed error
+        response, the request counts towards ``max_requests``, and a
+        new connection is answered."""
+        a, b = 10**3999 + 7, 10**3999 + 9
+        service = _service()
+
+        async def scenario():
+            server = await ServiceServer(
+                service, port=0, max_requests=2
+            ).start()
+            async with await AsyncServiceClient.connect(
+                port=server.port
+            ) as client:
+                big = await asyncio.wait_for(
+                    client.submit("multiply", {"pairs": [[a, b]]}), 30
+                )
+            async with await AsyncServiceClient.connect(
+                port=server.port
+            ) as client:
+                after = await asyncio.wait_for(
+                    client.submit("multiply", {"pairs": [[6, 7]]}), 30
+                )
+            # Both requests counted: max_requests=2 stops the server.
+            await asyncio.wait_for(server.serve_until_done(), 30)
+            return big, after
+
+        try:
+            big, after = asyncio.run(scenario())
+        finally:
+            service.shutdown()
+        assert big.status == "error"
+        assert big.error_type == "ProtocolError"
+        assert "4300 digits" in big.error
+        assert after.ok and after.result == [42]
