@@ -49,12 +49,8 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.fhe.rlwe import RLWE, RLWEParams  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ComputeService,
-    MultiplyOp,
-    RLWEMultiplyPlainOp,
-    ServiceConfig,
-)
+from repro.jobs import MultiplyJob, RLWEMultiplyPlainJob  # noqa: E402
+from repro.serve import ComputeService, ServiceConfig  # noqa: E402
 from repro.serve.metrics import percentile  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_service.json"
@@ -131,7 +127,7 @@ def multiply_case(
     truth = [[a * b] for a, b in pairs]
 
     def make_ops():
-        return [MultiplyOp.of([pair]) for pair in pairs]
+        return [MultiplyJob.batched([pair]) for pair in pairs]
 
     naive = _measure_mode(make_ops, coalesce=False, repeats=repeats)
     coalesced = _measure_mode(make_ops, coalesce=True, repeats=repeats)
@@ -187,7 +183,9 @@ def rlwe_case(requests: int, n: int, repeats: int, seed: int) -> dict:
 
     def make_ops():
         return [
-            RLWEMultiplyPlainOp.of(params, [ct], [plain])
+            RLWEMultiplyPlainJob(
+                params=params, ciphertexts=[ct], plains=[plain]
+            )
             for ct, plain in zip(cts, plains)
         ]
 

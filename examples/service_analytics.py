@@ -23,9 +23,9 @@ Run:  python examples/service_analytics.py
 import random
 
 from repro.fhe.rlwe import RLWE, RLWEParams
+from repro.jobs import RLWEMultiplyPlainJob
 from repro.serve import (
     ComputeService,
-    RLWEMultiplyPlainOp,
     ServiceClient,
     ServiceConfig,
     render_stats,
@@ -78,8 +78,10 @@ def main() -> None:
         with service.scheduler.paused():
             for clinic, client in clients.items():
                 for ct in encrypted[clinic]:
-                    op = RLWEMultiplyPlainOp.of(params, [ct], [mask])
-                    futures.append((clinic, ct, client.submit(op)))
+                    job = RLWEMultiplyPlainJob(
+                        params=params, ciphertexts=[ct], plains=[mask]
+                    )
+                    futures.append((clinic, ct, client.submit(job)))
         responses = [
             (clinic, ct, future.result())
             for clinic, ct, future in futures

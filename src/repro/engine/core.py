@@ -411,7 +411,7 @@ class EngineMultiplier:
 
     Fulfils the pluggable-multiplier contract of :class:`repro.fhe.DGHV`
     (a ``(int, int) -> int`` callable) and additionally exposes
-    ``multiply_many`` so :func:`repro.fhe.ops.he_mult_many` batches
+    ``multiply_many`` so :meth:`repro.fhe.DGHV.multiply_many` batches
     whole gate layers through one SSA pass.
     """
 

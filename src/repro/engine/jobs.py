@@ -16,8 +16,9 @@ This module closes the gap with a job model:
 Every workload of the stack flows through the same queue: SSA products
 (:class:`MultiplyJob`), ring forward/inverse/convolution batches
 (:class:`RingTransformJob`, :class:`ConvolveJob`), DGHV homomorphic
-AND layers (:class:`DGHVMultJob`) and RLWE plaintext products
-(:class:`RLWEMultiplyPlainJob`).  Jobs execute **in submission order**
+AND layers (:class:`DGHVMultJob`) and RLWE plaintext and ciphertext
+products (:class:`RLWEMultiplyPlainJob`, :class:`RLWEMultiplyJob`).
+Jobs execute **in submission order**
 on one dispatcher thread that owns the engine — the engine's caches
 are never raced — while intra-job parallelism comes from the engine's
 compute backend (``software-mp`` shards each job's batch axis across
@@ -26,28 +27,40 @@ that engine through the queue too (engine caches and hw-model stage
 buffers are unsynchronized; only report slots are per-thread) — the
 caller's own non-engine work overlaps freely.
 
+The job types are also the op vocabulary of :mod:`repro.serve`
+(:data:`JOB_TYPES` maps each wire op name to its type).  Besides
+``run(engine)``, a job knows its item ``count``, whether and under
+which ``coalesce_key()`` queued jobs may share one engine pass, how
+such jobs ``merge`` and how the batched result ``split``\\ s back
+(order-preserving, bit-identical to running each job alone), and its
+JSON codec: ``from_payload`` and ``encode_result``.
+
 ``Engine.submit`` / ``Engine.map`` are conveniences over a lazily
 created per-engine scheduler.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import as_completed as _futures_as_completed
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    ClassVar,
+    Dict,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -63,46 +76,311 @@ from repro.engine.resilience import (
     RuntimeFaultError,
     deadline_scope,
 )
+from repro.field.vector import to_field_array, to_field_matrix
+
+# -- wire helpers ------------------------------------------------------------
+
+
+def _require(payload: dict, key: str):
+    try:
+        return payload[key]
+    except KeyError:
+        raise ValueError(f"payload is missing {key!r}") from None
+
+
+def _int_rows(raw, what: str) -> list:
+    """Validate a JSON list of int rows (one flat row is one row)."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"{what} must be a non-empty list")
+    rows = raw if isinstance(raw[0], list) else [raw]
+    for row in rows:
+        if not isinstance(row, list) or not all(
+            isinstance(v, int) for v in row
+        ):
+            raise ValueError(f"{what} rows must be lists of integers")
+    return rows
+
+
+def _ring_size(payload: dict) -> int:
+    n = _require(payload, "n")
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("n must be an integer >= 2")
+    return n
+
+
+def _field_matrix(raw: list, rows: list) -> np.ndarray:
+    """Validated wire rows as field elements; 1-D for one flat row."""
+    matrix = to_field_matrix(rows)
+    return matrix if isinstance(raw[0], list) else matrix[0]
+
+
+def _field_rows(values, n: int, label: str) -> Tuple[np.ndarray, bool]:
+    """``values`` as a ``(batch, n)`` uint64 matrix, and whether it
+    came as one flat row."""
+    rows = np.asarray(values)
+    flat = rows.ndim == 1
+    if flat:
+        rows = rows.reshape(1, -1)
+    if rows.dtype != np.uint64:
+        rows = to_field_matrix(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"{label} must be (batch, {n}), got {rows.shape}")
+    return rows, flat
+
+
+def _set(job, **fields) -> None:
+    """Normalise fields of a frozen job in ``__post_init__``."""
+    for name, value in fields.items():
+        object.__setattr__(job, name, value)
+
+
+def _rlwe_params(payload: dict):
+    """RLWE parameters of an ``rlwe-multiply`` payload (single-modulus
+    or RNS)."""
+    from repro.fhe.rlwe import RLWEParams
+
+    raw_primes = payload.get("rns_primes")
+    if raw_primes is not None:
+        if not isinstance(raw_primes, list) or not all(
+            isinstance(q, int) for q in raw_primes
+        ):
+            raise ValueError("rns_primes must be a list of integers")
+        raw_primes = tuple(raw_primes)
+    try:
+        params = RLWEParams(
+            n=int(_require(payload, "n")),
+            t=int(_require(payload, "t")),
+            noise_bound=int(payload.get("noise_bound", 8)),
+            rns_primes=raw_primes,
+            relin_base=int(payload.get("relin_base", 16)),
+        )
+        params.validate()
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"bad RLWE params: {error}") from None
+    return params
+
+
+def _decode_ciphertext(raw, params):
+    """One wire ``[c0, c1]`` RLWE ciphertext.  A component is a flat
+    coefficient row (single-modulus) or a ``level × n`` list of
+    residue-channel rows (RNS)."""
+    from repro.fhe.rlwe import RLWECiphertext
+
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ValueError("each ciphertext must be [c0, c1]")
+    level = None
+    components = []
+    for raw_component in raw:
+        rows = _int_rows(raw_component, "ciphertext component")
+        if params.is_rns and level is None:
+            level = len(rows)
+            if not 1 <= level <= params.level_count:
+                raise ValueError(
+                    "RNS component row count must match a chain level"
+                )
+        if any(len(row) != params.n for row in rows):
+            raise ValueError(
+                f"component rows must have {params.n} coefficients"
+            )
+        if not params.is_rns:
+            if len(rows) != 1:
+                raise ValueError(
+                    "single-modulus components must be flat rows"
+                )
+            components.append(to_field_array(rows[0]))
+            continue
+        if len(rows) != level:
+            raise ValueError(
+                f"RNS components must carry {level} channel rows"
+            )
+        try:
+            components.append(params.channel_residues(rows, level))
+        except ValueError as error:
+            raise ValueError(f"bad ciphertext: {error}") from None
+    c0, c1 = components
+    return RLWECiphertext(c0=c0, c1=c1, params=params, level=level)
+
+
+def _encode_ciphertexts(result) -> list:
+    """``[[c0, c1], ...]`` in the wire component encoding."""
+    return [[ct.c0.tolist(), ct.c1.tolist()] for ct in result]
+
+
+def _concat(parts: list):
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return tuple(itertools.chain.from_iterable(parts))
+
 
 # -- job types ------------------------------------------------------------
 
 
+class Job:
+    """One unit of queued work, and one op of the service vocabulary.
+
+    A job type is a frozen dataclass naming its op ``kind`` and its
+    ``batch_fields``: the per-item fields, all :attr:`count` long,
+    that :meth:`merge` concatenates.  Every other field is equal
+    across jobs with equal :meth:`coalesce_key`.
+    """
+
+    kind: ClassVar[str] = ""
+    batch_fields: ClassVar[Tuple[str, ...]] = ()
+    #: Whether a queued job may merge with other same-key jobs.
+    coalescible: ClassVar[bool] = True
+
+    @property
+    def name(self) -> str:
+        """The op name (``kind``)."""
+        return self.kind
+
+    @property
+    def count(self) -> int:
+        """Items this job carries (operand pairs, rows, ...) — the unit
+        admission control, fair queueing and batch budgets charge."""
+        return len(getattr(self, self.batch_fields[0]))
+
+    def coalesce_key(self) -> tuple:
+        """Jobs with equal keys run the same engine code path on the
+        same plan shape, so they may share one batched pass."""
+        raise NotImplementedError
+
+    def run(self, engine) -> Any:
+        raise NotImplementedError
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Job":
+        """Decode a JSON wire payload (``ValueError``/``TypeError`` on
+        malformed input)."""
+        raise NotImplementedError
+
+    def encode_result(self, result) -> Any:
+        """This job's result in JSON-encodable form."""
+        raise NotImplementedError
+
+    @classmethod
+    def merge(cls, jobs: Sequence["Job"]) -> "Job":
+        """One job carrying every member's items, in member order."""
+        if len(jobs) == 1:
+            return jobs[0]
+        return dataclasses.replace(
+            jobs[0],
+            **{
+                name: _concat([getattr(job, name) for job in jobs])
+                for name in cls.batch_fields
+            },
+        )
+
+    @staticmethod
+    def split(jobs: Sequence["Job"], result) -> List[Any]:
+        """The merged job's result sliced back per member, in order."""
+        out = []
+        start = 0
+        for job in jobs:
+            stop = start + job.count
+            out.append(result[start:stop])
+            start = stop
+        if start != len(result):
+            raise RuntimeError(
+                f"batched result has {len(result)} items for {start} "
+                "requested"
+            )
+        return out
+
+
 @dataclass(frozen=True)
-class MultiplyJob:
-    """A batch of exact SSA products ``[a·b for (a, b) in pairs]``."""
+class MultiplyJob(Job):
+    """A batch of exact SSA products ``[a·b for (a, b) in pairs]``.
+
+    Payload: ``{"pairs": [[a, b], ...]}`` (non-negative JSON ints);
+    result: the list of products.  The coalesce key buckets the operand
+    width to the next power of two, so merged jobs size the same SSA
+    multiplier (same transform plan shape).
+    """
 
     pairs: Tuple[Tuple[int, int], ...]
 
     kind = "multiply"
+    batch_fields = ("pairs",)
+
+    def __post_init__(self) -> None:
+        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        if not pairs:
+            raise ValueError("multiply needs at least one pair")
+        if any(a < 0 or b < 0 for a, b in pairs):
+            raise ValueError("multiply operands must be non-negative")
+        _set(self, pairs=pairs)
 
     @classmethod
     def of(cls, a: int, b: int) -> "MultiplyJob":
         """A single-product job (``result()`` is a one-element list)."""
-        return cls(pairs=((int(a), int(b)),))
+        return cls(pairs=((a, b),))
 
     @classmethod
     def batched(
         cls, pairs: Iterable[Tuple[int, int]]
     ) -> "MultiplyJob":
-        return cls(pairs=tuple((int(a), int(b)) for a, b in pairs))
+        return cls(pairs=tuple(pairs))
+
+    def coalesce_key(self) -> tuple:
+        bits = max(
+            max(a.bit_length(), b.bit_length(), 1) for a, b in self.pairs
+        )
+        return (self.kind, 1 << (bits - 1).bit_length())
 
     def run(self, engine) -> List[int]:
         left = [a for a, _ in self.pairs]
         right = [b for _, b in self.pairs]
         return engine.multiply(left, right)
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "MultiplyJob":
+        pairs = _require(payload, "pairs")
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list)
+            and len(p) == 2
+            and all(isinstance(v, int) for v in p)
+            for p in pairs
+        ):
+            raise ValueError("pairs must be a list of [a, b] integers")
+        return cls.batched(pairs)
+
+    def encode_result(self, result) -> list:
+        return [int(v) for v in result]
+
 
 @dataclass(frozen=True, eq=False)
-class RingTransformJob:
-    """A ``(batch, n)`` (inverse) NTT batch, optionally ψ-twisted."""
+class RingTransformJob(Job):
+    """A ``(batch, n)`` (inverse) NTT batch, optionally ψ-twisted.
+
+    Payload: ``{"n": ..., "values": [[...], ...], "inverse": false,
+    "negacyclic": false, "radices": null}``; result: the transformed
+    rows.  A flat (1-D) ``values`` row is one row, answered flat on the
+    wire.
+    """
 
     n: int
     values: np.ndarray
     inverse: bool = False
     negacyclic: bool = False
     radices: Optional[Tuple[int, ...]] = None
+    flat: bool = field(default=False, init=False, repr=False)
 
     kind = "ring-transform"
+    batch_fields = ("values",)
+
+    def __post_init__(self) -> None:
+        values, flat = _field_rows(self.values, self.n, "values")
+        _set(self, values=values, flat=flat)
+
+    def coalesce_key(self) -> tuple:
+        return (
+            self.kind,
+            self.n,
+            self.inverse,
+            self.negacyclic,
+            self.radices,
+        )
 
     def run(self, engine) -> np.ndarray:
         ring = engine.ring(self.n, self.radices)
@@ -116,66 +394,205 @@ class RingTransformJob:
             method = ring.inverse if self.inverse else ring.forward
         return method(self.values)
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RingTransformJob":
+        n = _ring_size(payload)
+        raw = _require(payload, "values")
+        rows = _int_rows(raw, "values")
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"every values row must have {n} entries")
+        radices = payload.get("radices")
+        if radices is not None:
+            if not isinstance(radices, list) or not all(
+                isinstance(r, int) for r in radices
+            ):
+                raise ValueError("radices must be a list of integers")
+            radices = tuple(radices)
+        return cls(
+            n=n,
+            values=_field_matrix(raw, rows),
+            inverse=bool(payload.get("inverse", False)),
+            negacyclic=bool(payload.get("negacyclic", False)),
+            radices=radices,
+        )
+
+    def encode_result(self, result) -> list:
+        rows = result.tolist()
+        return rows[0] if self.flat else rows
+
 
 @dataclass(frozen=True, eq=False)
-class ConvolveJob:
-    """A cyclic or negacyclic convolution batch (broadcast included)."""
+class ConvolveJob(Job):
+    """A cyclic or negacyclic convolution batch (broadcast included).
+
+    Payload: ``{"n": ..., "a": [[...], ...], "b": [[...], ...],
+    "negacyclic": false}``; a flat ``a`` row is answered flat.  ``b``
+    holds one row per ``a`` row, or one row broadcast against the whole
+    ``a`` batch.
+    """
 
     n: int
     a: np.ndarray
     b: np.ndarray
     negacyclic: bool = False
     radices: Optional[Tuple[int, ...]] = None
+    flat: bool = field(default=False, init=False, repr=False)
 
     kind = "convolve"
+    batch_fields = ("a", "b")
+
+    def __post_init__(self) -> None:
+        a, flat = _field_rows(self.a, self.n, "a")
+        b, _ = _field_rows(self.b, self.n, "b")
+        if len(b) not in (len(a), 1):
+            raise ValueError(
+                "b must have one row per a row, or exactly one row"
+            )
+        _set(self, a=a, b=b, flat=flat)
+
+    @property
+    def coalescible(self) -> bool:  # type: ignore[override]
+        """Broadcast jobs never merge: reusing the one ``b`` spectrum
+        across the batch is already their batching."""
+        return not (len(self.b) == 1 and len(self.a) > 1)
+
+    def coalesce_key(self) -> tuple:
+        return (self.kind, self.n, self.negacyclic, self.radices)
 
     def run(self, engine) -> np.ndarray:
         return engine.ring(self.n, self.radices).convolve(
             self.a, self.b, negacyclic=self.negacyclic
         )
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ConvolveJob":
+        n = _ring_size(payload)
+        raw_a = _require(payload, "a")
+        rows_a = _int_rows(raw_a, "a")
+        rows_b = _int_rows(_require(payload, "b"), "b")
+        if any(len(row) != n for row in rows_a + rows_b):
+            raise ValueError(f"every operand row must have {n} entries")
+        return cls(
+            n=n,
+            a=_field_matrix(raw_a, rows_a),
+            b=to_field_matrix(rows_b),
+            negacyclic=bool(payload.get("negacyclic", False)),
+        )
 
-class _MultiplierStrategy:
-    """The minimal ``scheme`` shape :func:`repro.fhe.ops.he_mult_many`
-    needs: an object exposing the engine's multiplier strategy."""
-
-    def __init__(self, engine):
-        from repro.engine.core import EngineMultiplier
-
-        self.multiplier = EngineMultiplier(engine)
+    def encode_result(self, result) -> list:
+        rows = result.tolist()
+        return rows[0] if self.flat else rows
 
 
 @dataclass(frozen=True, eq=False)
-class DGHVMultJob:
+class DGHVMultJob(Job):
     """A layer of DGHV homomorphic AND gates (ciphertext products).
 
-    Semantics and noise bookkeeping of
-    :func:`repro.fhe.ops.he_mult_many`: the γ×γ-bit products run as one
-    batched SSA pass through the engine (and therefore through its
-    backend — sharded on ``software-mp``, cycle-counted on
-    ``hw-model``).
+    The γ×γ-bit products run as one batched SSA pass through the
+    engine's DGHV scheme (``engine.fhe(params)``), and therefore
+    through its backend — sharded on ``software-mp``, cycle-counted on
+    ``hw-model``.  Payload: ``{"params": {"name", "lam", "rho", "eta",
+    "gamma", "tau"}, "x0": ..., "pairs": [[[value, noise_bits], [value,
+    noise_bits]], ...]}``; result: ``[[value, noise_bits], ...]``.
     """
 
     pairs: Tuple[Tuple[Any, Any], ...]  # (Ciphertext, Ciphertext) pairs
     x0: Optional[int] = None
 
     kind = "dghv-mult"
+    batch_fields = ("pairs",)
+
+    def __post_init__(self) -> None:
+        from repro.fhe.dghv import Ciphertext
+
+        pairs = tuple(self.pairs)
+        if not all(
+            isinstance(ct, Ciphertext) for pair in pairs for ct in pair
+        ):
+            raise TypeError("dghv pairs must hold ciphertexts")
+        if not pairs:
+            raise ValueError("dghv-mult needs at least one pair")
+        _set(self, pairs=pairs)
+
+    @property
+    def params(self):
+        """The pairs' :class:`repro.fhe.params.FHEParams`."""
+        return self.pairs[0][0].params
+
+    def coalesce_key(self) -> tuple:
+        return (self.kind, self.params, self.x0)
 
     def run(self, engine) -> List[Any]:
         from repro.fhe.ops import _he_mult_many
 
         return _he_mult_many(
-            _MultiplierStrategy(engine), self.pairs, x0=self.x0
+            engine.fhe(self.params), self.pairs, x0=self.x0
         )
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "DGHVMultJob":
+        from repro.fhe.dghv import Ciphertext
+        from repro.fhe.params import FHEParams
+
+        raw_params = _require(payload, "params")
+        if not isinstance(raw_params, dict):
+            raise ValueError("params must be an object")
+        try:
+            params = FHEParams(
+                name=str(raw_params["name"]),
+                lam=int(raw_params["lam"]),
+                rho=int(raw_params["rho"]),
+                eta=int(raw_params["eta"]),
+                gamma=int(raw_params["gamma"]),
+                tau=int(raw_params["tau"]),
+            )
+            params.validate()
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"bad DGHV params: {error}") from None
+        raw_pairs = _require(payload, "pairs")
+        if not isinstance(raw_pairs, list):
+            raise ValueError("pairs must be a list")
+
+        def ciphertext(raw) -> Ciphertext:
+            if (
+                not isinstance(raw, list)
+                or len(raw) != 2
+                or not isinstance(raw[0], int)
+                or isinstance(raw[0], bool)
+                or not isinstance(raw[1], (int, float))
+                or isinstance(raw[1], bool)
+            ):
+                raise ValueError(
+                    "each ciphertext must be [value, noise_bits]"
+                )
+            return Ciphertext(
+                value=raw[0], noise_bits=float(raw[1]), params=params
+            )
+
+        pairs = []
+        for raw in raw_pairs:
+            if not isinstance(raw, list) or len(raw) != 2:
+                raise ValueError("each pair must be [ct, ct]")
+            pairs.append((ciphertext(raw[0]), ciphertext(raw[1])))
+        x0 = payload.get("x0")
+        if x0 is not None and not isinstance(x0, int):
+            raise ValueError("x0 must be an integer")
+        return cls(pairs=tuple(pairs), x0=x0)
+
+    def encode_result(self, result) -> list:
+        return [[ct.value, ct.noise_bits] for ct in result]
 
 
 @dataclass(frozen=True, eq=False)
-class RLWEMultiplyPlainJob:
+class RLWEMultiplyPlainJob(Job):
     """Batched RLWE plaintext-by-ciphertext products.
 
     Bit-identical to
     :meth:`repro.fhe.rlwe.RLWE.multiply_plain_many` on a scheme bound
     to the engine's plan (``3·B`` negacyclic transforms total).
+    Payload: ``{"n": ..., "t": ..., "noise_bound": ..., "ciphertexts":
+    [[c0, c1], ...], "plains": [[...], ...]}`` (single-modulus); result:
+    ``[[c0, c1], ...]``.
     """
 
     params: Any  # repro.fhe.rlwe.RLWEParams
@@ -183,6 +600,19 @@ class RLWEMultiplyPlainJob:
     plains: Tuple[Tuple[int, ...], ...]
 
     kind = "rlwe-multiply-plain"
+    batch_fields = ("ciphertexts", "plains")
+
+    def __post_init__(self) -> None:
+        ciphertexts = tuple(self.ciphertexts)
+        plains = tuple(self.plains)
+        if not ciphertexts:
+            raise ValueError("rlwe-multiply-plain needs >= 1 pair")
+        if len(ciphertexts) != len(plains):
+            raise ValueError("one plaintext per ciphertext")
+        _set(self, ciphertexts=ciphertexts, plains=plains)
+
+    def coalesce_key(self) -> tuple:
+        return (self.kind, self.params)
 
     def run(self, engine) -> List[Any]:
         scheme = engine.fhe(self.params)
@@ -190,9 +620,39 @@ class RLWEMultiplyPlainJob:
             list(self.ciphertexts), [list(p) for p in self.plains]
         )
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RLWEMultiplyPlainJob":
+        from repro.fhe.rlwe import RLWEParams
+
+        try:
+            params = RLWEParams(
+                n=int(_require(payload, "n")),
+                t=int(_require(payload, "t")),
+                noise_bound=int(payload.get("noise_bound", 8)),
+            )
+            params.validate()
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"bad RLWE params: {error}") from None
+        raw_cts = _require(payload, "ciphertexts")
+        raw_plains = _require(payload, "plains")
+        if not isinstance(raw_cts, list) or not isinstance(
+            raw_plains, list
+        ):
+            raise ValueError("ciphertexts and plains must be lists")
+        cts = [_decode_ciphertext(raw, params) for raw in raw_cts]
+        plains = [_int_rows(p, "plain")[0] for p in raw_plains]
+        if any(len(p) != params.n for p in plains):
+            raise ValueError(
+                f"plaintexts must have {params.n} coefficients"
+            )
+        return cls(params=params, ciphertexts=cts, plains=plains)
+
+    def encode_result(self, result) -> list:
+        return _encode_ciphertexts(result)
+
 
 @dataclass(frozen=True, eq=False)
-class RLWEMultiplyJob:
+class RLWEMultiplyJob(Job):
     """Batched RLWE ciphertext-by-ciphertext products.
 
     One tensor pass + one relinearization pass over the whole batch,
@@ -200,7 +660,15 @@ class RLWEMultiplyJob:
     scheme bound to the engine (every ring product rides the engine's
     batch axis — sharded on ``software-mp``, cycle-counted on
     ``hw-model``).  ``relin`` is the evaluator-side
-    :class:`repro.fhe.rlwe.RelinKeys`; the secret never enters the job.
+    :class:`repro.fhe.rlwe.RelinKeys`; a full ``RLWEKeyPair`` is
+    reduced to them, so the secret never enters the job.
+
+    Payload: the RLWE parameter fields (``n``, ``t``, ``noise_bound``,
+    optional ``rns_primes``/``relin_base``), ``relin``
+    (``RelinKeys.to_payload()``) and ``pairs``: ``[[[c0, c1], [d0,
+    d1]], ...]``.  Result: ``[[c0, c1], ...]`` in the same component
+    encoding.  The coalesce key carries the plan shape *and* the relin
+    keys' digest, so only jobs under the same keyset merge.
     """
 
     params: Any  # repro.fhe.rlwe.RLWEParams
@@ -208,20 +676,75 @@ class RLWEMultiplyJob:
     pairs: Tuple[Tuple[Any, Any], ...]  # (RLWECiphertext, RLWECiphertext)
 
     kind = "rlwe-multiply"
+    batch_fields = ("pairs",)
+
+    def __post_init__(self) -> None:
+        from repro.fhe.rlwe import RLWEKeyPair
+
+        pairs = tuple(self.pairs)
+        if not pairs:
+            raise ValueError("rlwe-multiply needs >= 1 pair")
+        if len({ct.level for pair in pairs for ct in pair}) != 1:
+            raise ValueError(
+                "all ciphertexts must sit at the same chain level"
+            )
+        relin = self.relin
+        if isinstance(relin, RLWEKeyPair):
+            relin = relin.relin
+        _set(self, pairs=pairs, relin=relin)
+
+    @property
+    def level(self) -> int:
+        """The chain level every ciphertext of the batch sits at."""
+        return self.pairs[0][0].level
+
+    def coalesce_key(self) -> tuple:
+        return (self.kind, self.params, self.level, self.relin.digest())
 
     def run(self, engine) -> List[Any]:
         scheme = engine.fhe(self.params)
         return scheme.multiply_many(self.relin, list(self.pairs))
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RLWEMultiplyJob":
+        from repro.fhe.rlwe import RelinKeys
 
-Job = Union[
-    MultiplyJob,
-    RingTransformJob,
-    ConvolveJob,
-    DGHVMultJob,
-    RLWEMultiplyPlainJob,
-    RLWEMultiplyJob,
-]
+        params = _rlwe_params(payload)
+        raw_relin = _require(payload, "relin")
+        if not isinstance(raw_relin, dict):
+            raise ValueError("relin must be an object")
+        try:
+            relin = RelinKeys.from_payload(params, raw_relin)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"bad relin keys: {error}") from None
+        raw_pairs = _require(payload, "pairs")
+        if not isinstance(raw_pairs, list):
+            raise ValueError("pairs must be a list")
+        pairs = []
+        for raw in raw_pairs:
+            if not isinstance(raw, list) or len(raw) != 2:
+                raise ValueError("each pair must be [ct, ct]")
+            pairs.append(
+                tuple(_decode_ciphertext(ct, params) for ct in raw)
+            )
+        return cls(params=params, relin=relin, pairs=pairs)
+
+    def encode_result(self, result) -> list:
+        return _encode_ciphertexts(result)
+
+
+#: Op name → job type: the service's op vocabulary.
+JOB_TYPES: Dict[str, Type[Job]] = {
+    job_type.kind: job_type
+    for job_type in (
+        MultiplyJob,
+        RingTransformJob,
+        ConvolveJob,
+        DGHVMultJob,
+        RLWEMultiplyPlainJob,
+        RLWEMultiplyJob,
+    )
+}
 
 
 # -- handles ---------------------------------------------------------------
@@ -695,6 +1218,7 @@ __all__ = [
     "JobScheduler",
     "JobHandle",
     "Job",
+    "JOB_TYPES",
     "MultiplyJob",
     "RingTransformJob",
     "ConvolveJob",

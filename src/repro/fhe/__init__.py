@@ -30,8 +30,6 @@ from repro.fhe.ops import (
     HEScheme,
     he_add,
     he_mult,
-    he_mult_many,
-    he_xor_and_eval,
     NoiseBudgetError,
 )
 from repro.fhe.rlwe import (
@@ -54,8 +52,6 @@ __all__ = [
     "HEScheme",
     "he_add",
     "he_mult",
-    "he_mult_many",
-    "he_xor_and_eval",
     "NoiseBudgetError",
     "RLWE",
     "RLWEParams",

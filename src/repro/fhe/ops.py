@@ -10,11 +10,11 @@ and the serving tier can be written once:
 
 plus batched ``*_many`` forms of each.
 
-The original free functions (``he_add``, ``he_mult``, ``he_mult_many``,
-``he_xor_and_eval``) predate the protocol and survive as
-``DeprecationWarning`` shims delegating to the private implementations
-below; migrate to scheme methods (``scheme.add(a, b)``,
-``scheme.multiply(keys, a, b)``, ...) — see the README migration table.
+The original free functions ``he_add`` and ``he_mult`` predate the
+protocol and survive as ``DeprecationWarning`` shims delegating to the
+private implementations below; migrate to scheme methods
+(``scheme.add(a, b)``, ``scheme.multiply(keys, a, b)``, ...) — see the
+README migration table.
 
 DGHV noise bookkeeping: addition sums noises (≈ +1 bit), multiplication
 sums noise bit-lengths; reduction modulo ``x_0`` adds a constant.  A
@@ -257,8 +257,7 @@ def _he_xor_and_eval(
 #
 # The pre-HEScheme free-function API.  Every shim is behavior-identical
 # to its private implementation; new code should call the scheme
-# methods instead (``scheme.add(a, b)``, ``scheme.multiply(keys, a, b)``,
-# ``scheme.multiply_many(keys, pairs)``).
+# methods instead (``scheme.add(a, b)``, ``scheme.multiply(keys, a, b)``).
 
 
 def he_add(
@@ -279,24 +278,3 @@ def he_mult(
     """Deprecated: use ``scheme.multiply(keys, a, b)``."""
     _deprecated("he_mult", "DGHV.multiply")
     return _he_mult(scheme, a, b, x0=x0)
-
-
-def he_mult_many(
-    scheme: DGHV,
-    pairs: Sequence[Tuple[Ciphertext, Ciphertext]],
-    x0: Optional[int] = None,
-) -> List[Ciphertext]:
-    """Deprecated: use ``scheme.multiply_many(keys, pairs)``."""
-    _deprecated("he_mult_many", "DGHV.multiply_many")
-    return _he_mult_many(scheme, pairs, x0=x0)
-
-
-def he_xor_and_eval(
-    scheme: DGHV,
-    keys: KeyPair,
-    bits_a: Iterable[int],
-    bits_b: Iterable[int],
-) -> List[int]:
-    """Deprecated: use ``DGHV.xor_and_eval(keys, bits_a, bits_b)``."""
-    _deprecated("he_xor_and_eval", "DGHV.xor_and_eval")
-    return _he_xor_and_eval(scheme, keys, bits_a, bits_b)

@@ -8,6 +8,7 @@ See that module for the full documentation.
 """
 
 from repro.engine.jobs import (
+    JOB_TYPES,
     ConvolveJob,
     DGHVMultJob,
     Job,
@@ -15,6 +16,7 @@ from repro.engine.jobs import (
     JobScheduler,
     MultiplyJob,
     RingTransformJob,
+    RLWEMultiplyJob,
     RLWEMultiplyPlainJob,
     as_completed,
 )
@@ -33,11 +35,13 @@ __all__ = [
     "JobScheduler",
     "JobHandle",
     "Job",
+    "JOB_TYPES",
     "MultiplyJob",
     "RingTransformJob",
     "ConvolveJob",
     "DGHVMultJob",
     "RLWEMultiplyPlainJob",
+    "RLWEMultiplyJob",
     "as_completed",
     "RetryPolicy",
     "NO_RETRY",

@@ -7,13 +7,19 @@ queues with priorities, bounded admission (typed ``REJECTED`` under
 overload), request coalescing into single batched engine passes, and a
 per-tenant metrics registry exported over a ``stats`` RPC.
 
+The ops are the job types of :mod:`repro.engine.jobs`:
+:data:`~repro.engine.jobs.JOB_TYPES` maps each wire op name to its
+type, which carries its own JSON codec, coalesce key, merge and split.
+This package is transport and scheduling over those jobs.
+
 Quickstart (in-process)::
 
+    from repro.jobs import MultiplyJob
     from repro.serve import ComputeService, ServiceClient
 
     with ComputeService() as service:
         client = ServiceClient(service, tenant="alice")
-        response = client.multiply([(3, 5), (7, 11)])
+        response = client.call(MultiplyJob.batched([(3, 5), (7, 11)]))
         assert response.result == [15, 77]
 
 Over TCP: ``repro serve --port 7100`` and ``repro client submit ...``,
@@ -26,17 +32,7 @@ from repro.serve.client import (
     TCPServiceClient,
 )
 from repro.serve.metrics import MetricsRegistry, render_stats
-from repro.serve.ops import (
-    OPS,
-    ConvolveOp,
-    DGHVMultOp,
-    MultiplyOp,
-    RingTransformOp,
-    RLWEMultiplyOp,
-    RLWEMultiplyPlainOp,
-    ServiceOp,
-    decode_op,
-)
+from repro.serve.ops import decode_op
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     STATUS_ERROR,
@@ -66,14 +62,6 @@ __all__ = [
     "ServiceScheduler",
     "MetricsRegistry",
     "render_stats",
-    "ServiceOp",
-    "MultiplyOp",
-    "RingTransformOp",
-    "ConvolveOp",
-    "DGHVMultOp",
-    "RLWEMultiplyOp",
-    "RLWEMultiplyPlainOp",
-    "OPS",
     "decode_op",
     "Response",
     "ProtocolError",

@@ -4,9 +4,9 @@ Three ways to talk to the service, one :class:`Response` surface:
 
 - :class:`ServiceClient` — in-process, wraps a
   :class:`~repro.serve.service.ComputeService` directly.  No sockets,
-  no JSON: ops are built from live objects (numpy rows, ciphertexts)
-  via the ``Op.of(...)`` constructors and results come back raw.  The
-  tool of choice for tests and benchmarks.
+  no JSON: ops are the :mod:`repro.engine.jobs` job types built from
+  live objects (numpy rows, ciphertexts) and results come back raw.
+  The tool of choice for tests and benchmarks.
 - :class:`TCPServiceClient` — blocking sockets, for scripts and the
   ``repro client`` CLI.  One call = submit + wait, but pipelining is
   available through :meth:`~TCPServiceClient.send` /
@@ -23,17 +23,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import socket
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
-from repro.serve.ops import (
-    ConvolveOp,
-    DGHVMultOp,
-    MultiplyOp,
-    RingTransformOp,
-    RLWEMultiplyOp,
-    RLWEMultiplyPlainOp,
-    ServiceOp,
-)
+from repro.engine.jobs import Job
 from repro.serve.protocol import (
     ProtocolError,
     Response,
@@ -50,8 +42,8 @@ class ServiceClient:
     """In-process client over a :class:`ComputeService`.
 
     ``submit`` returns the raw ``Future[Response]`` (open-loop load,
-    concurrency); ``call`` blocks.  The op helpers below build the op
-    and block — e.g. ``client.multiply([(a, b)]).result[0]``.
+    concurrency); ``call`` blocks — e.g.
+    ``client.call(MultiplyJob.batched([(a, b)])).result[0]``.
     """
 
     def __init__(self, service: ComputeService, *, tenant: str = "default"):
@@ -60,7 +52,7 @@ class ServiceClient:
 
     def submit(
         self,
-        op: ServiceOp,
+        op: Job,
         *,
         tenant: Optional[str] = None,
         priority: int = 0,
@@ -75,66 +67,11 @@ class ServiceClient:
             request_id=request_id,
         )
 
-    def call(self, op: ServiceOp, **kwargs) -> Response:
+    def call(self, op: Job, **kwargs) -> Response:
         return self.submit(op, **kwargs).result()
 
     def stats(self) -> dict:
         return self.service.stats()
-
-    # -- op helpers --------------------------------------------------------
-
-    def multiply(
-        self, pairs: Sequence[Tuple[int, int]], **kwargs
-    ) -> Response:
-        return self.call(MultiplyOp.of(pairs), **kwargs)
-
-    def ring_transform(
-        self,
-        n: int,
-        values,
-        *,
-        inverse: bool = False,
-        negacyclic: bool = False,
-        radices=None,
-        **kwargs,
-    ) -> Response:
-        return self.call(
-            RingTransformOp.of(
-                n,
-                values,
-                inverse=inverse,
-                negacyclic=negacyclic,
-                radices=radices,
-            ),
-            **kwargs,
-        )
-
-    def convolve(
-        self, n: int, a, b, *, negacyclic: bool = False, **kwargs
-    ) -> Response:
-        return self.call(
-            ConvolveOp.of(n, a, b, negacyclic=negacyclic), **kwargs
-        )
-
-    def dghv_mult(
-        self, pairs, x0: Optional[int] = None, **kwargs
-    ) -> Response:
-        return self.call(DGHVMultOp.of(pairs, x0=x0), **kwargs)
-
-    def rlwe_multiply_plain(
-        self, params, ciphertexts, plains, **kwargs
-    ) -> Response:
-        return self.call(
-            RLWEMultiplyPlainOp.of(params, ciphertexts, plains),
-            **kwargs,
-        )
-
-    def rlwe_multiply(self, params, relin, pairs, **kwargs) -> Response:
-        """Ciphertext-by-ciphertext products under ``relin`` keys
-        (an :class:`repro.fhe.rlwe.RelinKeys` or a full key pair)."""
-        return self.call(
-            RLWEMultiplyOp.of(params, relin, pairs), **kwargs
-        )
 
 
 class TCPServiceClient:

@@ -47,14 +47,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.engine.jobs import JobScheduler
+from repro.engine.jobs import Job, JobScheduler
 from repro.engine.resilience import (
     NO_RETRY,
     JobTimeoutError,
     RetryPolicy,
 )
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.ops import ServiceOp
 from repro.serve.protocol import (
     STATUS_ERROR,
     STATUS_OK,
@@ -133,7 +132,7 @@ class PendingRequest:
 
     seq: int
     tenant: str
-    op: ServiceOp
+    op: Job
     priority: int
     request_id: Optional[object]
     enqueued_at: float
@@ -213,7 +212,7 @@ class ServiceScheduler:
     def submit(
         self,
         tenant: str,
-        op: ServiceOp,
+        op: Job,
         *,
         priority: int = 0,
         timeout: Optional[float] = None,
@@ -388,12 +387,11 @@ class ServiceScheduler:
 
     def _execute_batch(self, batch: List[PendingRequest]) -> None:
         ops = [request.op for request in batch]
-        op_class = type(ops[0])
+        job_type = type(ops[0])
         total_items = sum(op.count for op in ops)
         try:
-            job = op_class.merge(ops)
             handle = self.jobs.submit(
-                job,
+                job_type.merge(ops),
                 timeout=self._job_timeout(batch),
                 retry=self.config.retry,
             )
@@ -411,7 +409,7 @@ class ServiceScheduler:
         )
         if error is None:
             self.metrics.on_batch(len(batch), total_items)
-            results = op_class.split(ops, handle.result())
+            results = job_type.split(ops, handle.result())
             now = time.monotonic()
             for request, result in zip(batch, results):
                 latency = now - request.enqueued_at

@@ -22,11 +22,13 @@ job never blocks another client's admission or a ``stats`` probe.
 from __future__ import annotations
 
 import asyncio
+import signal
+import threading
 from typing import Callable, List, Optional
 
-from repro.engine.jobs import JobHandle, JobScheduler
+from repro.engine.jobs import Job, JobHandle, JobScheduler
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.ops import ServiceOp, decode_op
+from repro.serve.ops import decode_op
 from repro.serve.protocol import (
     STATUS_ERROR,
     ProtocolError,
@@ -74,14 +76,14 @@ class ComputeService:
 
     def submit(
         self,
-        op: ServiceOp,
+        op: Job,
         *,
         tenant: str = "default",
         priority: int = 0,
         timeout: Optional[float] = None,
         request_id=None,
     ):
-        """Admit one op; returns a ``Future[Response]`` immediately."""
+        """Admit one op (a job); returns a ``Future[Response]`` at once."""
         return self.scheduler.submit(
             tenant,
             op,
@@ -309,9 +311,9 @@ def run_server(
     """Build a service, serve TCP until stopped, shut down cleanly.
 
     The blocking entry point behind ``repro serve``: ``on_ready`` fires
-    once the socket is bound (with the resolved port), Ctrl-C is a
-    clean drain-and-exit, and the service (engine pool included) is
-    shut down before returning.
+    once the socket is bound (with the resolved port), SIGINT (Ctrl-C)
+    and SIGTERM are a clean drain-and-exit, and the service (engine
+    pool included) is shut down before returning.
     """
     service = ComputeService(source, backend=backend, config=config)
 
@@ -320,6 +322,12 @@ def run_server(
             service, host=host, port=port, max_requests=max_requests
         )
         await server.start()
+        if threading.current_thread() is threading.main_thread():
+            # The kernel may deliver a process-directed signal to any
+            # thread; the loop's wakeup fd then still wakes this one.
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(signum, server.request_stop)
         if on_ready is not None:
             on_ready(server)
         await server.serve_until_done()

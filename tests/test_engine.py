@@ -25,7 +25,7 @@ from repro.engine import (
 )
 from repro.engine.backends import SoftwareBackend
 from repro.field.solinas import P
-from repro.fhe.ops import he_mult, he_mult_many
+from repro.fhe.ops import he_mult
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.ntt.convolution import cyclic_convolution
@@ -452,7 +452,7 @@ class TestEngineFHE:
             (scheme.encrypt(keys, a), scheme.encrypt(keys, b))
             for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]
         ]
-        ands = he_mult_many(scheme, pairs, x0=keys.x0)
+        ands = scheme.multiply_many(keys, pairs)
         assert [scheme.decrypt(keys, c) for c in ands] == [0, 0, 0, 1]
 
     def test_rlwe_bound_to_engine_plan(self):

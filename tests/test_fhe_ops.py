@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.fhe.dghv import DGHV, Ciphertext
-from repro.fhe.ops import NoiseBudgetError, he_add, he_mult, he_xor_and_eval
+from repro.fhe.ops import NoiseBudgetError, he_add, he_mult
 from repro.fhe.params import TOY
 from repro.ssa.multiplier import SSAMultiplier
 
@@ -88,7 +88,7 @@ class TestCircuitEval:
     def test_xor_and_vector(self, scheme, keys, rng):
         bits_a = [rng.getrandbits(1) for _ in range(16)]
         bits_b = [rng.getrandbits(1) for _ in range(16)]
-        got = he_xor_and_eval(scheme, keys, bits_a, bits_b)
+        got = scheme.xor_and_eval(keys, bits_a, bits_b)
         want = []
         for a, b in zip(bits_a, bits_b):
             want += [a ^ b, a & b]
@@ -132,23 +132,6 @@ class TestDeprecationShims:
         direct = scheme.multiply(keys, ca, cb)
         assert shimmed.value == direct.value
         assert shimmed.noise_bits == direct.noise_bits
-
-    def test_he_mult_many_warns_and_matches(self, scheme, keys):
-        from repro.fhe.ops import he_mult_many
-
-        pairs = [
-            (scheme.encrypt(keys, 1), scheme.encrypt(keys, 1)),
-            (scheme.encrypt(keys, 1), scheme.encrypt(keys, 0)),
-        ]
-        with pytest.warns(DeprecationWarning, match="he_mult_many"):
-            shimmed = he_mult_many(scheme, pairs, x0=keys.x0)
-        direct = scheme.multiply_many(keys, pairs)
-        assert [c.value for c in shimmed] == [c.value for c in direct]
-
-    def test_he_xor_and_eval_warns(self, scheme, keys):
-        with pytest.warns(DeprecationWarning, match="he_xor_and_eval"):
-            got = he_xor_and_eval(scheme, keys, [1], [1])
-        assert got == [0, 1]
 
     def test_protocol_methods_do_not_warn(self, scheme, keys, recwarn):
         ca = scheme.encrypt(keys, 1)

@@ -6,6 +6,8 @@ the stack (SSA, ring, DGHV, RLWE), and the sharded ``software-mp``
 backend's bit-identity with ``software`` over mixed batch shapes.
 """
 
+import dataclasses
+import json
 import random
 
 import numpy as np
@@ -20,14 +22,17 @@ from repro.engine import (
 )
 from repro.engine.backends import SoftwareMPBackend
 from repro.field.solinas import P
+from repro.fhe.dghv import DGHV
 from repro.fhe.params import TOY
-from repro.fhe.rlwe import RLWE, RLWEParams
+from repro.fhe.rlwe import RLWE, RLWEParams, default_rns_primes
 from repro.jobs import (
+    JOB_TYPES,
     ConvolveJob,
     DGHVMultJob,
     JobScheduler,
     MultiplyJob,
     RingTransformJob,
+    RLWEMultiplyJob,
     RLWEMultiplyPlainJob,
     as_completed,
 )
@@ -408,6 +413,207 @@ class TestFHEJobs:
                 )
             ).result()
         assert np.array_equal(back, rows)
+
+
+def _multiply_samples():
+    rng = random.Random(61)
+    top = 1 << 199
+    batches = [
+        [(rng.getrandbits(200) | top, rng.getrandbits(200)) for _ in range(k)]
+        for k in (1, 3, 2)
+    ]
+    jobs = [MultiplyJob.batched(pairs) for pairs in batches]
+    return jobs, {"pairs": [list(pair) for pair in batches[0]]}
+
+
+def _ring_samples():
+    rng = np.random.default_rng(62)
+    rows = [
+        rng.integers(0, P, size=(k, 16), dtype=np.uint64) for k in (1, 2, 3)
+    ]
+    jobs = [
+        RingTransformJob(n=16, values=rows[0][0], negacyclic=True),
+        RingTransformJob(n=16, values=rows[1], negacyclic=True),
+        RingTransformJob(n=16, values=rows[2].tolist(), negacyclic=True),
+    ]
+    return jobs, {"n": 16, "values": rows[0][0].tolist(), "negacyclic": True}
+
+
+def _convolve_samples():
+    rng = np.random.default_rng(63)
+    a = [rng.integers(0, P, size=(k, 16), dtype=np.uint64) for k in (1, 3, 2)]
+    b = [rng.integers(0, P, size=(k, 16), dtype=np.uint64) for k in (1, 3, 2)]
+    jobs = [ConvolveJob(n=16, a=a[0][0], b=b[0][0], negacyclic=True)] + [
+        ConvolveJob(n=16, a=x, b=y, negacyclic=True)
+        for x, y in zip(a[1:], b[1:])
+    ]
+    payload = {
+        "n": 16,
+        "a": a[0][0].tolist(),
+        "b": b[0][0].tolist(),
+        "negacyclic": True,
+    }
+    return jobs, payload
+
+
+def _dghv_samples():
+    scheme = DGHV(TOY, rng=random.Random(64))
+    keys = scheme.generate_keys()
+    cts = [scheme.encrypt(keys, bit) for bit in (1, 1, 0, 1, 1, 0, 1, 1)]
+    pairs = list(zip(cts[::2], cts[1::2]))
+    jobs = [
+        DGHVMultJob(pairs=chunk, x0=keys.x0)
+        for chunk in (pairs[:1], pairs[1:3], pairs[3:])
+    ]
+    payload = {
+        "params": dataclasses.asdict(TOY),
+        "x0": keys.x0,
+        "pairs": [
+            [[a.value, a.noise_bits], [b.value, b.noise_bits]]
+            for a, b in pairs[:1]
+        ],
+    }
+    return jobs, payload
+
+
+def _rlwe_plain_samples():
+    params = RLWEParams(n=16, t=17, noise_bound=4)
+    scheme = RLWE(params, rng=random.Random(65))
+    secret = scheme.generate_secret()
+    rng = random.Random(66)
+    messages = [[rng.randrange(17) for _ in range(16)] for _ in range(8)]
+    cts = scheme.encrypt_many(secret, messages[:4])
+    plains = messages[4:]
+    jobs = [
+        RLWEMultiplyPlainJob(
+            params=params, ciphertexts=cts[i:j], plains=plains[i:j]
+        )
+        for i, j in ((0, 1), (1, 3), (3, 4))
+    ]
+    payload = {
+        "n": 16,
+        "t": 17,
+        "noise_bound": 4,
+        "ciphertexts": [[cts[0].c0.tolist(), cts[0].c1.tolist()]],
+        "plains": [plains[0]],
+    }
+    return jobs, payload
+
+
+def _rlwe_samples():
+    params = RLWEParams(
+        n=16, t=17, noise_bound=4, rns_primes=default_rns_primes(16, 17, 2)
+    )
+    scheme = RLWE(params, rng=random.Random(67))
+    keys = scheme.keygen()
+    rng = random.Random(68)
+    cts = scheme.encrypt_many(
+        keys, [[rng.randrange(17) for _ in range(16)] for _ in range(8)]
+    )
+    pairs = list(zip(cts[::2], cts[1::2]))
+    jobs = [
+        RLWEMultiplyJob(params=params, relin=keys, pairs=pairs[i:j])
+        for i, j in ((0, 1), (1, 3), (3, 4))
+    ]
+    payload = {
+        "n": 16,
+        "t": 17,
+        "noise_bound": 4,
+        "rns_primes": list(params.rns_primes),
+        "relin": keys.relin.to_payload(),
+        "pairs": [
+            [[ct.c0.tolist(), ct.c1.tolist()] for ct in pairs[0]]
+        ],
+    }
+    return jobs, payload
+
+
+#: Op name -> three same-key jobs and the wire payload of the first.
+JOB_SAMPLES = {
+    "multiply": _multiply_samples,
+    "ring-transform": _ring_samples,
+    "convolve": _convolve_samples,
+    "dghv-mult": _dghv_samples,
+    "rlwe-multiply-plain": _rlwe_plain_samples,
+    "rlwe-multiply": _rlwe_samples,
+}
+
+
+def _wire(job, result):
+    """``result`` as the service sends it (DGHV noise estimates compare
+    by value: a decoded ciphertext carries them as floats)."""
+    return json.loads(json.dumps(job.encode_result(result)))
+
+
+class TestJobTypes:
+    """Every registered job type, as a queue job and as a serve op."""
+
+    @pytest.mark.parametrize("kind", sorted(JOB_TYPES))
+    def test_merge_run_split_matches_each_job_alone(self, kind):
+        jobs, _ = JOB_SAMPLES[kind]()
+        job_type = JOB_TYPES[kind]
+        assert all(type(job) is job_type for job in jobs)
+        assert all(job.coalescible for job in jobs)
+        assert len({job.coalesce_key() for job in jobs}) == 1
+        merged = job_type.merge(jobs)
+        assert merged.count == sum(job.count for job in jobs)
+        engine = Engine()
+        parts = job_type.split(jobs, merged.run(engine))
+        assert [len(part) for part in parts] == [job.count for job in jobs]
+        for job, part in zip(jobs, parts):
+            assert _wire(job, part) == _wire(job, job.run(engine))
+
+    @pytest.mark.parametrize("kind", sorted(JOB_TYPES))
+    def test_payload_roundtrip(self, kind):
+        jobs, payload = JOB_SAMPLES[kind]()
+        decoded = JOB_TYPES[kind].from_payload(json.loads(json.dumps(payload)))
+        assert decoded.kind == decoded.name == kind
+        assert decoded.count == jobs[0].count
+        assert decoded.coalesce_key() == jobs[0].coalesce_key()
+        engine = Engine()
+        assert _wire(decoded, decoded.run(engine)) == _wire(
+            jobs[0], jobs[0].run(engine)
+        )
+
+    @pytest.mark.parametrize("kind", ["ring-transform", "convolve"])
+    def test_flat_row_answered_flat(self, kind):
+        _, payload = JOB_SAMPLES[kind]()
+        job = JOB_TYPES[kind].from_payload(payload)
+        assert job.flat and job.count == 1
+        encoded = job.encode_result(job.run(Engine()))
+        assert len(encoded) == 16 and all(isinstance(v, int) for v in encoded)
+        field = "values" if kind == "ring-transform" else "a"
+        rows = dict(payload, **{field: [payload[field]]})
+        assert JOB_TYPES[kind].from_payload(rows).encode_result(
+            job.run(Engine())
+        ) == [encoded]
+
+    def test_rlwe_multiply_keeps_only_relin_keys(self):
+        from repro.fhe.rlwe import RelinKeys
+
+        jobs, _ = _rlwe_samples()
+        assert all(isinstance(job.relin, RelinKeys) for job in jobs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MultiplyJob(pairs=()),
+            lambda: MultiplyJob.of(-1, 2),
+            lambda: RingTransformJob(n=8, values=np.zeros((2, 4), np.uint64)),
+            lambda: ConvolveJob(
+                n=8,
+                a=np.zeros((1, 8), np.uint64),
+                b=np.zeros((2, 8), np.uint64),
+            ),
+            lambda: DGHVMultJob(pairs=((1, 2),)),
+            lambda: RLWEMultiplyPlainJob(
+                params=RLWEParams(n=16), ciphertexts=(), plains=()
+            ),
+        ],
+    )
+    def test_invalid_jobs_rejected(self, build):
+        with pytest.raises((TypeError, ValueError)):
+            build()
 
 
 class TestSoftwareMP:

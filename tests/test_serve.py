@@ -15,15 +15,28 @@ The acceptance invariants of the serving tier live here:
 
 import asyncio
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine import Engine, ExecutionConfig, faultinject
-from repro.engine.jobs import JobScheduler, MultiplyJob
+from repro.engine.jobs import (
+    ConvolveJob,
+    DGHVMultJob,
+    JobScheduler,
+    MultiplyJob,
+    RingTransformJob,
+    RLWEMultiplyJob,
+    RLWEMultiplyPlainJob,
+)
 from repro.engine.resilience import JobTimeoutError
 from repro.fhe.params import TOY
 from repro.fhe.rlwe import RLWEParams
@@ -37,17 +50,14 @@ from repro.serve import (
     STATUS_TIMEOUT,
     AsyncServiceClient,
     ComputeService,
-    MultiplyOp,
     ProtocolError,
     Response,
-    RingTransformOp,
     ServiceClient,
     ServiceConfig,
     ServiceServer,
     decode_op,
 )
 from repro.serve.metrics import percentile
-from repro.serve.ops import ConvolveOp, DGHVMultOp, RLWEMultiplyPlainOp
 from repro.serve.protocol import decode_body, encode_frame, read_frame
 
 
@@ -173,25 +183,25 @@ class TestOps:
             decode_op("multiply", {})
 
     def test_multiply_coalesce_key_buckets_width(self):
-        small_a = MultiplyOp.of([(3, 5)])
-        small_b = MultiplyOp.of([(7, 2)])
-        big = MultiplyOp.of([(1 << 600, 3)])
+        small_a = MultiplyJob.of(3, 5)
+        small_b = MultiplyJob.of(7, 2)
+        big = MultiplyJob.of(1 << 600, 3)
         assert small_a.coalesce_key() == small_b.coalesce_key()
         assert small_a.coalesce_key() != big.coalesce_key()
 
     def test_ring_keys_split_on_direction_and_size(self):
-        fwd = RingTransformOp.of(8, [list(range(8))])
-        inv = RingTransformOp.of(8, [list(range(8))], inverse=True)
-        other = RingTransformOp.of(16, [list(range(16))])
+        fwd = RingTransformJob(n=8, values=[list(range(8))])
+        inv = RingTransformJob(n=8, values=[list(range(8))], inverse=True)
+        other = RingTransformJob(n=16, values=[list(range(16))])
         assert fwd.coalesce_key() != inv.coalesce_key()
         assert fwd.coalesce_key() != other.coalesce_key()
 
     def test_broadcast_convolve_not_coalescible(self):
         a = np.ones((3, 8), dtype=np.uint64)
         b = np.ones((1, 8), dtype=np.uint64)
-        op = ConvolveOp.of(8, a, b)
-        assert not op.coalescible
-        assert ConvolveOp.of(8, a, a).coalescible
+        job = ConvolveJob(n=8, a=a, b=b)
+        assert not job.coalescible
+        assert ConvolveJob(n=8, a=a, b=a).coalescible
 
     @pytest.mark.parametrize("where", ["ciphertext", "relin"])
     @pytest.mark.parametrize("bad", BAD_RESIDUES)
@@ -227,7 +237,9 @@ class TestServiceBasics:
     def test_multiply(self):
         with _service() as service:
             client = ServiceClient(service, tenant="t")
-            response = client.multiply([(3, 5), (1 << 100, 3)])
+            response = client.call(
+                MultiplyJob.batched([(3, 5), (1 << 100, 3)])
+            )
             assert response.ok
             assert response.result == [15, 3 << 100]
             assert response.coalesced == 1
@@ -238,8 +250,8 @@ class TestServiceBasics:
         with Engine() as engine:
             oracle = engine.ring(64).negacyclic_forward(rows)
         with _service() as service:
-            got = ServiceClient(service).ring_transform(
-                64, rows, negacyclic=True
+            got = ServiceClient(service).call(
+                RingTransformJob(n=64, values=rows, negacyclic=True)
             )
             assert got.ok and np.array_equal(got.result, oracle)
 
@@ -254,7 +266,9 @@ class TestServiceBasics:
         ]
         engine.close()
         with _service() as service:
-            response = ServiceClient(service).dghv_mult(pairs, x0=keys.x0)
+            response = ServiceClient(service).call(
+                DGHVMultJob(pairs=pairs, x0=keys.x0)
+            )
             assert response.ok
             assert [
                 scheme.decrypt(keys, ct) for ct in response.result
@@ -264,7 +278,7 @@ class TestServiceBasics:
         with _service() as service:
             client = ServiceClient(service, tenant="alice")
             for _ in range(3):
-                assert client.multiply([(2, 3)]).ok
+                assert client.call(MultiplyJob.of(2, 3)).ok
             snapshot = client.stats()
             alice = snapshot["tenants"]["alice"]
             assert alice["completed"] == 3
@@ -285,14 +299,15 @@ class TestCoalescing:
         with _service(coalesce=False) as service:
             client = ServiceClient(service)
             oracle = [
-                client.multiply([pair]).result[0] for pair in pairs
+                client.call(MultiplyJob.batched([pair])).result[0]
+                for pair in pairs
             ]
         with _service() as service:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 futures = [
                     client.submit(
-                        MultiplyOp.of([pair]), tenant=f"t{i % 3}"
+                        MultiplyJob.batched([pair]), tenant=f"t{i % 3}"
                     )
                     for i, pair in enumerate(pairs)
                 ]
@@ -323,9 +338,11 @@ class TestCoalescing:
         with _service(coalesce=False) as service:
             client = ServiceClient(service)
             oracle = [
-                client.rlwe_multiply_plain(params, [ct], [plain]).result[
-                    0
-                ]
+                client.call(
+                    RLWEMultiplyPlainJob(
+                        params=params, ciphertexts=[ct], plains=[plain]
+                    )
+                ).result[0]
                 for ct, plain in zip(cts, plains)
             ]
         with _service() as service:
@@ -333,7 +350,9 @@ class TestCoalescing:
             with service.scheduler.paused():
                 futures = [
                     client.submit(
-                        RLWEMultiplyPlainOp.of(params, [ct], [plain]),
+                        RLWEMultiplyPlainJob(
+                            params=params, ciphertexts=[ct], plains=[plain]
+                        ),
                         tenant=f"t{i}",
                     )
                     for i, (ct, plain) in enumerate(zip(cts, plains))
@@ -348,7 +367,6 @@ class TestCoalescing:
 
     def test_rlwe_ct_multiply_coalesced_bit_identical(self):
         from repro.fhe.rlwe import default_rns_primes
-        from repro.serve.ops import RLWEMultiplyOp
 
         params = RLWEParams(
             n=64,
@@ -370,7 +388,9 @@ class TestCoalescing:
         with _service(coalesce=False) as service:
             client = ServiceClient(service)
             oracle = [
-                client.rlwe_multiply(params, keys, [pair]).result[0]
+                client.call(
+                    RLWEMultiplyJob(params=params, relin=keys, pairs=[pair])
+                ).result[0]
                 for pair in pairs
             ]
         with _service() as service:
@@ -378,7 +398,9 @@ class TestCoalescing:
             with service.scheduler.paused():
                 futures = [
                     client.submit(
-                        RLWEMultiplyOp.of(params, keys, [pair]),
+                        RLWEMultiplyJob(
+                            params=params, relin=keys, pairs=[pair]
+                        ),
                         tenant=f"t{i}",
                     )
                     for i, pair in enumerate(pairs)
@@ -392,8 +414,6 @@ class TestCoalescing:
             assert np.array_equal(got.c1, want.c1)
 
     def test_rlwe_ct_multiply_different_keysets_do_not_merge(self):
-        from repro.serve.ops import RLWEMultiplyOp
-
         params = RLWEParams(n=64, t=17, noise_bound=4)
         scheme_a = Engine().fhe(params, rng=random.Random(31))
         keys_a = scheme_a.keygen()
@@ -405,11 +425,15 @@ class TestCoalescing:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 f_a = client.submit(
-                    RLWEMultiplyOp.of(params, keys_a, [(ct_a, ct_a)]),
+                    RLWEMultiplyJob(
+                        params=params, relin=keys_a, pairs=[(ct_a, ct_a)]
+                    ),
                     tenant="alice",
                 )
                 f_b = client.submit(
-                    RLWEMultiplyOp.of(params, keys_b, [(ct_b, ct_b)]),
+                    RLWEMultiplyJob(
+                        params=params, relin=keys_b, pairs=[(ct_b, ct_b)]
+                    ),
                     tenant="bob",
                 )
             r_a = f_a.result(timeout=30)
@@ -421,9 +445,9 @@ class TestCoalescing:
         with _service() as service:
             client = ServiceClient(service)
             with service.scheduler.paused():
-                f_small = client.submit(MultiplyOp.of([(3, 5)]))
+                f_small = client.submit(MultiplyJob.of(3, 5))
                 f_ring = client.submit(
-                    RingTransformOp.of(8, [list(range(8))])
+                    RingTransformJob(n=8, values=[list(range(8))])
                 )
             r_small = f_small.result(timeout=30)
             r_ring = f_ring.result(timeout=30)
@@ -435,7 +459,7 @@ class TestCoalescing:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 futures = [
-                    client.submit(MultiplyOp.of([(i, i + 1)]))
+                    client.submit(MultiplyJob.of(i, i + 1))
                     for i in range(10)
                 ]
             responses = [f.result(timeout=30) for f in futures]
@@ -454,7 +478,7 @@ class TestPriorityAndFairness:
             with service.scheduler.paused():
                 futures = {
                     prio: client.submit(
-                        MultiplyOp.of([(prio + 2, 3)]), priority=prio
+                        MultiplyJob.of(prio + 2, 3), priority=prio
                     )
                     for prio in (0, 5, 1)
                 }
@@ -491,7 +515,9 @@ class TestPriorityAndFairness:
             latencies = []
             for _ in range(samples):
                 start = time.perf_counter()
-                response = client.multiply(pairs, tenant="light")
+                response = client.call(
+                    MultiplyJob.batched(pairs), tenant="light"
+                )
                 latencies.append(time.perf_counter() - start)
                 assert response.ok
                 if depths is not None:
@@ -513,7 +539,7 @@ class TestPriorityAndFairness:
             def flood():
                 while not stop.is_set():
                     future = service.submit(
-                        MultiplyOp.of([(3, 5)]), tenant="hog"
+                        MultiplyJob.of(3, 5), tenant="hog"
                     )
                     if future.done():
                         response = future.result()
@@ -560,11 +586,11 @@ class TestBackpressure:
             client = ServiceClient(service)
             with service.scheduler.paused():
                 alice = [
-                    client.submit(MultiplyOp.of([(i, 2)]), tenant="a")
+                    client.submit(MultiplyJob.of(i, 2), tenant="a")
                     for i in range(5)
                 ]
                 bob = [
-                    client.submit(MultiplyOp.of([(i, 3)]), tenant="b")
+                    client.submit(MultiplyJob.of(i, 3), tenant="b")
                     for i in range(4)
                 ]
                 # Tenant cap: alice's 4th/5th rejected immediately.
@@ -598,9 +624,9 @@ class TestBackpressure:
     def test_submit_after_shutdown_rejected(self):
         service = _service()
         client = ServiceClient(service)
-        assert client.multiply([(2, 3)]).ok
+        assert client.call(MultiplyJob.of(2, 3)).ok
         service.shutdown()
-        response = client.multiply([(5, 7)])
+        response = client.call(MultiplyJob.of(5, 7))
         assert response.status == STATUS_REJECTED
         assert response.error == REJECT_SHUTDOWN
 
@@ -620,9 +646,9 @@ class TestFaultsAndDeadlines:
             pairs = [(3 << 64, 5), (7, 11 << 32)]
             truth = [a * b for a, b in pairs]
             # Warm the pool so the kill hits an established worker.
-            assert client.multiply(pairs).result == truth
+            assert client.call(MultiplyJob.batched(pairs)).result == truth
             with faultinject.inject("worker-kill:0"):
-                response = client.multiply(pairs)
+                response = client.call(MultiplyJob.batched(pairs))
             assert response.ok and response.result == truth
             assert any(
                 "worker-crash" in event
@@ -635,9 +661,7 @@ class TestFaultsAndDeadlines:
         with _service() as service:
             client = ServiceClient(service)
             with service.scheduler.paused():
-                future = client.submit(
-                    MultiplyOp.of([(3, 5)]), timeout=0.05
-                )
+                future = client.submit(MultiplyJob.of(3, 5), timeout=0.05)
                 time.sleep(0.15)
             response = future.result(timeout=30)
         assert response.status == STATUS_TIMEOUT
@@ -681,7 +705,7 @@ class TestDrainAndShutdown:
         service = _service()
         client = ServiceClient(service)
         futures = [
-            client.submit(MultiplyOp.of([(i + 2, i + 5)]))
+            client.submit(MultiplyJob.of(i + 2, i + 5))
             for i in range(8)
         ]
         dead = service.shutdown(drain=True, timeout=60)
@@ -696,7 +720,7 @@ class TestDrainAndShutdown:
         client = ServiceClient(service)
         with service.scheduler.paused():
             futures = [
-                client.submit(MultiplyOp.of([(i, 2)])) for i in range(4)
+                client.submit(MultiplyJob.of(i, 2)) for i in range(4)
             ]
             service.shutdown(drain=False, timeout=30)
         statuses = {f.result(timeout=5).status for f in futures}
@@ -925,3 +949,58 @@ class TestTCPService:
         assert big.error_type == "ProtocolError"
         assert "4300 digits" in big.error
         assert after.ok and after.result == [42]
+
+
+# -- signals ---------------------------------------------------------------
+
+#: Runs ``run_server`` (the body of ``repro serve``) once per signal
+#: number in argv; each time ``on_ready`` sends that signal to the
+#: dispatcher thread while the event loop sits idle.
+_SIGNAL_SCRIPT = """
+import signal, sys, threading, time
+from repro.serve import run_server
+
+def on_ready(server):
+    dispatch = next(
+        t for t in threading.enumerate() if t.name == "repro-serve-dispatch"
+    )
+
+    def fire():
+        time.sleep(0.2)
+        signal.pthread_kill(dispatch.ident, signum)
+
+    threading.Thread(target=fire, daemon=True).start()
+
+for signum in map(int, sys.argv[1:]):
+    run_server(port=0, on_ready=on_ready)
+    print("stopped", signal.Signals(signum).name, flush=True)
+"""
+
+
+class TestSignals:
+    def test_signal_on_non_main_thread_stops_server(self):
+        """The kernel may deliver a process-directed signal to any
+        thread; SIGINT and SIGTERM must still drain and stop the
+        server promptly."""
+        src = Path(__file__).parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        signums = [signal.SIGINT, signal.SIGTERM]
+        process = subprocess.Popen(
+            [sys.executable, "-c", _SIGNAL_SCRIPT]
+            + [str(int(signum)) for signum in signums],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            output, _ = process.communicate(timeout=20)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            output, _ = process.communicate()
+            pytest.fail(f"server still running after 20 s: {output!r}")
+        assert process.returncode == 0, output
+        assert output.split() == ["stopped", "SIGINT", "stopped", "SIGTERM"]
