@@ -15,12 +15,11 @@ Backing for the scaling/ablation/crossover benchmarks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.spec import ArchSpec
 from repro.hw.timing import AcceleratorTiming
-from repro.ntt.plan import plan_for_size
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,10 @@ def radix_plan_sweep(
     spec = ArchSpec.paper_default().with_overrides(
         pes=pes, clock_ns=clock_ns, name=f"hypercube-p{pes}"
     )
+    paper_shape = AcceleratorTiming.for_arch(spec)
     out: Dict[Tuple[int, ...], float] = {}
     for radices in plans:
-        plan = plan_for_size(n, radices)
-        timing = AcceleratorTiming.for_arch(spec, plan=plan)
+        timing = replace(paper_shape, n=n, radices=tuple(radices))
         out[tuple(radices)] = timing.fft_time_us()
     return out
 

@@ -12,13 +12,13 @@ and the two stock backends answer with identical bits:
 
 ``hw-model``
     The transaction-level accelerator model
-    (:class:`repro.hw.accelerator.HEAccelerator`): the same values,
-    computed through the distributed multi-PE dataflow, plus
-    cycle-accurate :class:`~repro.hw.accelerator.MultiplyReport` /
-    :class:`~repro.hw.accelerator.DistributedFFTReport` timing.
-    Accelerator instances (and therefore their ping-pong stage
-    buffers) are cached per plan, so repeated workloads reuse both
-    plans and buffers.
+    (:class:`repro.hw.accelerator.HEAccelerator`): the same values —
+    from the same staged executor on ``fast`` fidelity, through the
+    beat-exact FFT-64 datapath on ``datapath`` — plus cycle-accurate
+    :class:`~repro.hw.accelerator.MultiplyReport` /
+    :class:`~repro.hw.accelerator.DistributedFFTReport` timing from
+    :func:`repro.hw.accelerator.plan_schedule`.  Accelerator instances
+    are cached per plan, so repeated workloads reuse them.
 
 ``software-mp``
     The software executor sharded over a persistent
@@ -767,11 +767,12 @@ class SoftwareMPBackend(SoftwareBackend):
 class HardwareModelBackend:
     """The cycle-counted accelerator model as an engine backend.
 
-    Values are bit-identical to :class:`SoftwareBackend`; every call
+    Values are bit-identical to :class:`SoftwareBackend` — on ``fast``
+    fidelity they come from the same staged executor — and every call
     additionally produces the paper's timing reports.  One
     :class:`~repro.hw.accelerator.HEAccelerator` is built per transform
-    plan and reused across calls, so its plans *and* its ping-pong
-    stage buffers persist for the life of the engine.
+    plan and reused across calls, so its PE ledgers accumulate over
+    the life of the engine.
     """
 
     name = HW_MODEL

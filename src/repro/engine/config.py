@@ -55,9 +55,10 @@ class ExecutionConfig:
         Clock period of the ``hw-model`` cycle model (5 ns = 200 MHz,
         the paper's Stratix V operating point).
     fidelity:
-        ``hw-model`` simulation fidelity: ``"fast"`` (vectorized math,
-        analytic cycle ledgers) or ``"datapath"`` (every beat through
-        the banked memories and the shift-only FFT-64 unit).
+        ``hw-model`` simulation fidelity: ``"fast"`` (values from the
+        staged executor) or ``"datapath"`` (every beat through the
+        banked memories and the shift-only FFT-64 unit); both report
+        the same analytic cycle schedule.
     coefficient_bits:
         SSA digit width used when the engine sizes a multiplier from an
         operand bit length (the paper uses 24).

@@ -107,7 +107,7 @@ class Engine:
         job's own, never the caller's.  Note this isolation covers
         reports only: running compute on an engine from two threads at
         once (e.g. synchronous calls while jobs are in flight) is not
-        supported — caches and the hw-model's stage buffers are
+        supported — caches and the hw-model's PE ledgers are
         unsynchronized.  Route concurrent work through the job queue.
         """
         return getattr(self._thread_reports, "value", None)

@@ -135,8 +135,8 @@ def _set(job, **fields) -> None:
 
 
 def _rlwe_params(payload: dict):
-    """RLWE parameters of an ``rlwe-multiply`` payload (single-modulus
-    or RNS)."""
+    """RLWE parameters of an ``rlwe-multiply`` or
+    ``rlwe-multiply-plain`` payload (single-modulus or RNS)."""
     from repro.fhe.rlwe import RLWEParams
 
     raw_primes = payload.get("rns_primes")
@@ -565,8 +565,12 @@ class DGHVMultJob(Job):
                 raise ValueError(
                     "each ciphertext must be [value, noise_bits]"
                 )
+            try:
+                noise_bits = float(raw[1])
+            except OverflowError:
+                raise ValueError("noise_bits does not fit a float") from None
             return Ciphertext(
-                value=raw[0], noise_bits=float(raw[1]), params=params
+                value=raw[0], noise_bits=noise_bits, params=params
             )
 
         pairs = []
@@ -590,9 +594,11 @@ class RLWEMultiplyPlainJob(Job):
     Bit-identical to
     :meth:`repro.fhe.rlwe.RLWE.multiply_plain_many` on a scheme bound
     to the engine's plan (``3·B`` negacyclic transforms total).
-    Payload: ``{"n": ..., "t": ..., "noise_bound": ..., "ciphertexts":
-    [[c0, c1], ...], "plains": [[...], ...]}`` (single-modulus); result:
-    ``[[c0, c1], ...]``.
+    Payload: the RLWE parameter fields (``n``, ``t``, ``noise_bound``,
+    optional ``rns_primes``/``relin_base``), ``ciphertexts``: ``[[c0,
+    c1], ...]`` and ``plains``: ``[[...], ...]``, one flat row of ``n``
+    coefficients each.  Result: ``[[c0, c1], ...]`` in the ciphertexts'
+    component encoding.
     """
 
     params: Any  # repro.fhe.rlwe.RLWEParams
@@ -622,17 +628,7 @@ class RLWEMultiplyPlainJob(Job):
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RLWEMultiplyPlainJob":
-        from repro.fhe.rlwe import RLWEParams
-
-        try:
-            params = RLWEParams(
-                n=int(_require(payload, "n")),
-                t=int(_require(payload, "t")),
-                noise_bound=int(payload.get("noise_bound", 8)),
-            )
-            params.validate()
-        except (TypeError, ValueError) as error:
-            raise ValueError(f"bad RLWE params: {error}") from None
+        params = _rlwe_params(payload)
         raw_cts = _require(payload, "ciphertexts")
         raw_plains = _require(payload, "plains")
         if not isinstance(raw_cts, list) or not isinstance(

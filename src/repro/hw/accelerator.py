@@ -9,13 +9,19 @@ stage through the PEs' double buffers.
 
 Two fidelity levels compute identical values:
 
-- ``fast``: per-stage vectorized math (same kernels as
-  :mod:`repro.ntt.staged`) with analytic per-PE cycle ledgers;
+- ``fast``: the values *are* the staged executor's
+  (:func:`repro.ntt.staged.execute_plan_batch` and its inverse, run on
+  the plan the accelerator holds), so the hw model owns no second
+  transform implementation;
 - ``datapath``: every sub-transform runs through the shift-only
   FFT-64 unit model, every inter-stage twiddle through the DSP modular
   multiplier model, and every beat through the banked memories with
-  conflict checking — the full Fig. 1 datapath, cycle-counted from
-  component activity.
+  conflict checking — the full Fig. 1 datapath, and the functional
+  oracle for the shift-only unit.
+
+On both, every cycle report is :func:`plan_schedule` — the same
+value-free schedule the design-space explorer prices with — plus the
+per-PE timeline and activity ledgers the accelerator adds.
 
 ``multiply`` runs the whole SSA pipeline of Section V: three
 transforms, the component-wise product on 32 dot-product multipliers,
@@ -31,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.spec import ArchSpec, TOPOLOGY_HYPERCUBE
-from repro.field.solinas import P as FIELD_P
 from repro.field.vector import vmul
 from repro.hw.banked_memory import ARRAY_POINTS
 from repro.hw.data_route import column_read_beats, reductor_write_beats
@@ -39,7 +44,6 @@ from repro.hw.fft64_unit import FFT64Config
 from repro.hw.hypercube import HypercubeTopology
 from repro.hw.modmul import ModularMultiplier
 from repro.hw.pe import ProcessingElement
-from repro.ntt.kernels import stage_executor
 from repro.ntt.negacyclic import twist_tables
 from repro.ntt.plan import (
     ORDER_DECIMATED,
@@ -47,6 +51,7 @@ from repro.ntt.plan import (
     decimated_companion,
     paper_64k_plan,
 )
+from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
 from repro.sim.trace import Timeline
 from repro.ssa.carry import carry_recover
 from repro.ssa.encode import PAPER_PARAMETERS, SSAParameters, decompose, recompose
@@ -63,6 +68,8 @@ class StageTiming:
     exchange_words_per_link: int
     exchange_cycles: int
     overlapped: bool
+    #: Words each PE sends (and receives) in the trailing exchange.
+    words_sent_per_pe: int
 
 
 @dataclass
@@ -292,27 +299,19 @@ def plan_schedule(arch: ArchSpec, plan: TransformPlan) -> DistributedFFTReport:
     report = DistributedFFTReport(
         pes=arch.pes, plan_n=plan.n, clock_ns=arch.clock_ns
     )
-    stage_count = len(plan.stages)
-    for index in range(stage_count):
-        stage = plan.stages[index]
-        compute, words, exchange_cycles, _sent = stage_costs(
-            arch, plan, index
-        )
-        next_compute = 0
-        if index + 1 < stage_count:
-            next_compute = arch.stage_compute_cycles(
-                plan.stages[index + 1].sub_transforms,
-                plan.radices[index + 1],
-            )
+    costs = [stage_costs(arch, plan, i) for i in range(len(plan.stages))]
+    for index, (compute, words, exchange_cycles, sent) in enumerate(costs):
+        next_compute = costs[index + 1][0] if index + 1 < len(costs) else 0
         report.stages.append(
             StageTiming(
                 index=index,
                 radix=plan.radices[index],
-                sub_transforms=stage.sub_transforms,
+                sub_transforms=plan.stages[index].sub_transforms,
                 compute_cycles_per_pe=compute,
                 exchange_words_per_link=words,
                 exchange_cycles=exchange_cycles,
                 overlapped=exchange_cycles <= next_compute,
+                words_sent_per_pe=sent,
             )
         )
     return report
@@ -363,16 +362,10 @@ class HEAccelerator:
             ModularMultiplier(name=f"dotmul{i}")
             for i in range(arch.dot_product_multipliers)
         ]
-        # Two ping-pong stage buffers, shared by every transform this
-        # accelerator runs (the staged executor's allocation discipline):
-        # each stage reads one buffer and writes the other, so a
-        # transform allocates nothing per stage, and repeated transforms
-        # (an engine-resident accelerator serving a workload) allocate
-        # nothing at all.  Allocated lazily on the first transform.
+        # Two ping-pong stage buffers for the datapath walk, shared by
+        # every row it runs: each stage reads one buffer and writes the
+        # other.  Allocated lazily on the first datapath transform.
         self._stage_buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # The (batch, n) counterparts, grown to the largest batch seen
-        # (distributed_ntt_batch ping-pongs row-matrix views of them).
-        self._batch_buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         for radix, count in self.plan.sub_transform_counts():
             if count % pes:
                 raise ValueError(
@@ -401,8 +394,6 @@ class HEAccelerator:
                 return buffer
         raise AssertionError("both stage buffers alias the stage input")
 
-    # -- ownership / communication ---------------------------------------
-
     def _stage_geometry(self, plan: TransformPlan, index: int):
         """(block_length, radix, tail) of stage ``index``."""
         length = plan.n
@@ -411,100 +402,42 @@ class HEAccelerator:
         radix = plan.radices[index]
         return length, radix, length // radix
 
-    def _ownership(self, plan: TransformPlan, index: int) -> np.ndarray:
-        """Owning PE of every flat data position during stage ``index``."""
-        return stage_ownership(plan, index, self.pe_count)
-
-    def _exchange_stats(
-        self, before: np.ndarray, after: np.ndarray
-    ) -> Tuple[int, int]:
-        """(max words per link, cycles) for one redistribution.
-
-        Delegates to the spec's per-topology routing model; the paper
-        point is the e-cube walk (one dimension per exchange phase,
-        worst link drained at eight words per cycle).
-        """
-        if self.pe_count == 1:
-            return 0, 0
-        moving = before != after
-        return self.arch.exchange.route_cycles(
-            before[moving], after[moving], self.pe_count
-        )
-
     # -- distributed transform -------------------------------------------
-
-    def _stage_costs(self, plan: TransformPlan, index: int):
-        """Value-independent cycle costs of stage ``index``.
-
-        Returns ``(compute_cycles_per_pe, exchange_words_per_link,
-        exchange_cycles, words_sent_per_pe)``; the exchange fields are
-        zero for the last stage (no redistribution follows it).
-        """
-        return stage_costs(self.arch, plan, index)
 
     def _timing_report(
         self, plan: TransformPlan, rows: int = 1
     ) -> DistributedFFTReport:
-        """One row's stage/timeline report; PE ledgers bumped ×``rows``.
+        """One row's :func:`plan_schedule` with its per-PE timeline; PE
+        ledgers bumped ×``rows``.
 
         The schedule is identical for every row of a batch, so the
         report is computed once and the per-PE activity counters are
         scaled by the row count.
         """
-        report = DistributedFFTReport(
-            pes=self.pe_count, plan_n=plan.n, clock_ns=self.clock_ns
-        )
-        cycle_cursor = 0
-        stage_count = len(plan.stages)
-        for index in range(stage_count):
-            stage = plan.stages[index]
-            compute, words, exchange_cycles, sent = self._stage_costs(
-                plan, index
-            )
+        report = plan_schedule(self.arch, plan)
+        timeline = report.timeline
+        cursor = 0
+        for stage in report.stages:
+            index = stage.index
+            compute_end = cursor + stage.compute_cycles_per_pe
+            exchanges = index + 1 < len(report.stages)
+            sent = stage.words_sent_per_pe * rows
             for pe in self.pes:
-                pe.counters.fft_cycles += compute * rows
-            if index + 1 < stage_count:
-                for pe in self.pes:
-                    pe.counters.words_sent += sent * rows
-                    pe.counters.words_received += sent * rows
+                pe.counters.fft_cycles += stage.compute_cycles_per_pe * rows
+                if exchanges:
+                    pe.counters.words_sent += sent
+                    pe.counters.words_received += sent
                     pe.swap_buffers()
-            next_compute = 0
-            if index + 1 < stage_count:
-                next_compute = self.arch.stage_compute_cycles(
-                    plan.stages[index + 1].sub_transforms,
-                    plan.radices[index + 1],
-                )
-            overlapped = exchange_cycles <= next_compute
-            report.stages.append(
-                StageTiming(
-                    index=index,
-                    radix=plan.radices[index],
-                    sub_transforms=stage.sub_transforms,
-                    compute_cycles_per_pe=compute,
-                    exchange_words_per_link=words,
-                    exchange_cycles=exchange_cycles,
-                    overlapped=overlapped,
-                )
-            )
-            for pe_index in range(self.pe_count):
-                report.timeline.begin(
-                    cycle_cursor, f"pe{pe_index}", f"compute{index}"
-                )
-                report.timeline.end(
-                    cycle_cursor + compute, f"pe{pe_index}", f"compute{index}"
-                )
-                if exchange_cycles:
-                    report.timeline.begin(
-                        cycle_cursor + compute,
-                        f"pe{pe_index}",
+                timeline.begin(cursor, pe.name, f"compute{index}")
+                timeline.end(compute_end, pe.name, f"compute{index}")
+                if stage.exchange_cycles:
+                    timeline.begin(compute_end, pe.name, f"exchange{index}")
+                    timeline.end(
+                        compute_end + stage.exchange_cycles,
+                        pe.name,
                         f"exchange{index}",
                     )
-                    report.timeline.end(
-                        cycle_cursor + compute + exchange_cycles,
-                        f"pe{pe_index}",
-                        f"exchange{index}",
-                    )
-            cycle_cursor += compute
+            cursor = compute_end
         return report
 
     def batch_schedule(
@@ -557,19 +490,15 @@ class HEAccelerator:
         when ``inverse``; the scale is already folded into the stages
         for fused negacyclic and decimated plans) and the cycle report.
 
-        A fused negacyclic plan runs on ``fast`` fidelity exactly like
-        a cyclic one (the stage kernels are constant-agnostic, so the
-        twist rides in the stage tables at zero extra passes and an
-        unchanged cycle schedule); ``datapath`` fidelity instead walks
-        the plan's cyclic base with the explicit ψ-twist, because the
-        shift-only FFT-64 unit evaluates plain DFT webs only — the
-        cycle report stays the honest beat-exact schedule, and the
-        values stay bit-identical to the fused fast path.  Decimated
-        plans follow the same pattern: ``fast`` fidelity runs the
-        permutation-free DIF/DIT walks directly, ``datapath`` walks the
-        natural companion with explicit gathers/scatters at the
-        boundary — bit-identical, since reordering exact residues
-        commutes with everything.
+        ``fast`` fidelity computes the values with the staged executor
+        on the plan itself, whatever its flavour (natural, decimated,
+        fused negacyclic).  ``datapath`` fidelity walks the shift-only
+        FFT-64 unit, which evaluates plain DFT webs only: a fused plan
+        runs its cyclic base with the explicit ψ-twist, and a decimated
+        plan its natural companion with explicit gathers/scatters at
+        the boundary — bit-identical to the fast values, since the
+        twist and reordering of exact residues commute with everything.
+        Both fidelities report the same cycle schedule.
         """
         return self._ntt_flat(self.plan, values, inverse, fidelity)
 
@@ -581,53 +510,46 @@ class HEAccelerator:
         fidelity: str,
     ) -> Tuple[np.ndarray, DistributedFFTReport]:
         """One flat transform under an explicit (forward) plan pair."""
+        if values.shape != (plan.n,):
+            raise ValueError(f"expected a flat array of length {plan.n}")
+        data = np.ascontiguousarray(values, dtype=np.uint64)
+        out, report = self._ntt_rows(
+            plan, data.reshape(1, plan.n), inverse, fidelity
+        )
+        return out[0], report
+
+    def _ntt_rows(
+        self,
+        plan: TransformPlan,
+        values: np.ndarray,
+        inverse: bool,
+        fidelity: str,
+    ) -> Tuple[np.ndarray, Optional[DistributedFFTReport]]:
+        """``(rows, n)`` transforms under an explicit (forward) plan pair.
+
+        Returns the owned output and one row's report, with the PE
+        ledgers bumped ×rows (``None`` and untouched ledgers for an
+        empty batch).
+        """
         pair = plan.inverse_plan if inverse else plan
         if pair is None:
             raise ValueError("plan has no inverse companion")
-        if values.shape != (pair.n,):
-            raise ValueError(f"expected a flat array of length {pair.n}")
+        if values.ndim != 2 or values.shape[1] != pair.n:
+            raise ValueError(f"expected a (batch, {pair.n}) matrix")
         if fidelity not in ("fast", "datapath"):
             raise ValueError(f"unknown fidelity {fidelity!r}")
-
-        data = np.ascontiguousarray(values, dtype=np.uint64)
+        rows = values.shape[0]
+        if rows == 0:
+            return values.copy(), None
         if fidelity == "datapath":
-            out = self._ntt_row_datapath(pair, data, inverse)
-            return out, self._timing_report(self._timing_plan(pair))
-        rows = self._ntt_fast_rows(pair, data.reshape(1, pair.n), inverse)
-        return rows[0], self._timing_report(self._timing_plan(pair))
-
-    def _ntt_fast_rows(
-        self, pair: TransformPlan, values: np.ndarray, inverse: bool
-    ) -> np.ndarray:
-        """Vectorized stage walk of ``(rows, n)`` data; owned output.
-
-        ``pair`` is the already direction-resolved plan to execute (the
-        inverse companion for inverse transforms).  Dispatches the DIT
-        walk for decimated inverse plans; natural plans end with the
-        digit-reversal gather, decimated ones with a plain contiguous
-        copy off the persistent stage buffers.
-        """
-        data = values.copy()  # never mutate the caller's matrix
-        if pair.dit:
-            tail = 1
-            for index in range(len(pair.stages)):
-                data = self._run_stage_fast_batch_dit(
-                    data, pair, index, tail
-                )
-                tail *= pair.stages[index].radix
+            out = np.empty_like(values)
+            for row in range(rows):
+                out[row] = self._ntt_row_datapath(pair, values[row], inverse)
+        elif inverse:
+            out = execute_plan_inverse_batch(values, plan)
         else:
-            for index in range(len(pair.stages)):
-                data = self._run_stage_fast_batch(data, pair, index)
-        if pair.ordering == ORDER_DECIMATED:
-            # No gather — the copy just moves the result off the
-            # reusable ping-pong buffers (fancy indexing would copy
-            # anyway on the natural route).
-            out = data.copy()
-        else:
-            out = data[:, pair.output_permutation]
-        if inverse and not pair.twist and pair.ordering != ORDER_DECIMATED:
-            vmul(out, np.broadcast_to(pair.n_inv, out.shape), out=out)
-        return out
+            out = execute_plan_batch(values, plan)
+        return out, self._timing_report(self._timing_plan(pair), rows=rows)
 
     def _ntt_row_datapath(
         self, pair: TransformPlan, data: np.ndarray, inverse: bool
@@ -698,10 +620,10 @@ class HEAccelerator:
         """Run a ``(batch, n)`` matrix of transforms in one call.
 
         The batch macro-pipeline counterpart of :meth:`distributed_ntt`
-        — on ``fast`` fidelity the whole row batch moves through each
-        stage as one vectorized kernel dispatch (no per-row Python
-        loop), while the cycle model streams the rows through the
-        single FFT engine back to back
+        — on ``fast`` fidelity the whole row batch goes through one
+        staged-executor call (one vectorized kernel dispatch per stage,
+        no per-row Python loop), while the cycle model streams the rows
+        through the single FFT engine back to back
         (:class:`DistributedFFTBatchReport`).  ``datapath`` fidelity
         keeps the beat-exact per-row walk.  Values are bit-identical to
         looping :meth:`distributed_ntt` in both fidelities.
@@ -716,107 +638,11 @@ class HEAccelerator:
         ``datapath`` walks the natural companion with explicit boundary
         reorders, keeping the beat-exact oracle bit-identical.
         """
-        pair = self.plan.inverse_plan if inverse else self.plan
-        if pair is None:
-            raise ValueError("plan has no inverse companion")
         values = np.ascontiguousarray(values, dtype=np.uint64)
-        if values.ndim != 2 or values.shape[1] != pair.n:
-            raise ValueError(f"expected a (batch, {pair.n}) matrix")
-        if fidelity not in ("fast", "datapath"):
-            raise ValueError(f"unknown fidelity {fidelity!r}")
-        rows = values.shape[0]
-        if rows == 0:
-            return values.copy(), DistributedFFTBatchReport(
-                rows=0, per_row=None, clock_ns=self.clock_ns
-            )
-
-        if fidelity == "datapath":
-            out = np.empty_like(values)
-            for row in range(rows):
-                out[row] = self._ntt_row_datapath(
-                    pair, np.ascontiguousarray(values[row]), inverse
-                )
-            per_row = self._timing_report(
-                self._timing_plan(pair), rows=rows
-            )
-            return out, DistributedFFTBatchReport(
-                rows=rows, per_row=per_row, clock_ns=self.clock_ns
-            )
-
-        out = self._ntt_fast_rows(pair, values, inverse)
-        per_row = self._timing_report(self._timing_plan(pair), rows=rows)
+        out, per_row = self._ntt_rows(self.plan, values, inverse, fidelity)
         return out, DistributedFFTBatchReport(
-            rows=rows, per_row=per_row, clock_ns=self.clock_ns
+            rows=values.shape[0], per_row=per_row, clock_ns=self.clock_ns
         )
-
-    def _batch_stage_output(self, data: np.ndarray) -> np.ndarray:
-        """The ``(rows, n)`` ping-pong buffer the next stage writes.
-
-        Mirrors :meth:`_stage_output` for batched transforms: two
-        persistent matrices grown to the largest batch seen; the one
-        holding the stage input is skipped.
-        """
-        rows, n = data.shape
-        if (
-            self._batch_buffers is None
-            or self._batch_buffers[0].shape[0] < rows
-        ):
-            self._batch_buffers = (
-                np.empty((rows, n), dtype=np.uint64),
-                np.empty((rows, n), dtype=np.uint64),
-            )
-        for buffer in self._batch_buffers:
-            view = buffer[:rows]
-            if not np.shares_memory(view, data):
-                return view
-        raise AssertionError("both batch buffers alias the stage input")
-
-    def _run_stage_fast_batch(
-        self, data: np.ndarray, plan: TransformPlan, index: int
-    ) -> np.ndarray:
-        """One stage over every row of a ``(rows, n)`` matrix at once.
-
-        The stage kernels are block-axis agnostic, so the row batch
-        simply multiplies the block count: ``rows × blocks`` sub-DFTs
-        go through one kernel dispatch, with the twiddle table
-        broadcast across all of them.
-        """
-        length, radix, tail = self._stage_geometry(plan, index)
-        stage = plan.stages[index]
-        blocks = plan.n // length
-        rows = data.shape[0]
-        view = data.reshape(rows * blocks, radix, tail)
-        out_rows = self._batch_stage_output(data)
-        out = out_rows.reshape(rows * blocks, radix, tail)
-        stage_executor(plan.kernel or None)(view, stage, out)
-        if stage.twiddles is not None:
-            vmul(out, stage.twiddles[np.newaxis, :, :], out=out)
-        return out_rows
-
-    def _run_stage_fast_batch_dit(
-        self, data: np.ndarray, plan: TransformPlan, index: int, tail: int
-    ) -> np.ndarray:
-        """One decimation-in-time stage over a ``(rows, n)`` matrix.
-
-        The DIT walk's tail axis *grows* with the executed-radix
-        product (``tail`` argument) instead of shrinking, and the stage
-        twiddle diagonal applies to the *input* view before the DFT —
-        the transpose of :meth:`_run_stage_fast_batch`'s schedule.
-        ``data`` is always an accelerator-owned buffer (the batch entry
-        copies the caller's matrix), so the pre-twiddle may run in
-        place.
-        """
-        stage = plan.stages[index]
-        radix = stage.radix
-        rows = data.shape[0]
-        groups = (rows * plan.n) // (radix * tail)
-        view = data.reshape(groups, radix, tail)
-        if stage.twiddles is not None:
-            vmul(view, stage.twiddles[np.newaxis, :, :], out=view)
-        out_rows = self._batch_stage_output(data)
-        out = out_rows.reshape(groups, radix, tail)
-        stage_executor(plan.kernel or None)(view, stage, out)
-        return out_rows
 
     def _run_stage_datapath(
         self,

@@ -43,8 +43,7 @@ def multiply_program(
     Operand loads stream ``n`` words at the I/O width; each is hidden
     behind the previous phase where double buffering allows.
     """
-    n = timing.plan.n
-    load_cycles = -(-n // io_words_per_cycle)
+    load_cycles = -(-timing.n // io_words_per_cycle)
     fft = timing.fft_cycles()
     return [
         MicroOp("LOAD_A", load_cycles),

@@ -17,10 +17,11 @@ dot-product provisioning) and the PE-scaling sweep of the benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.ntt.plan import TransformPlan, paper_64k_plan
+from repro.ntt.plan import PAPER_RADICES, PAPER_TRANSFORM_SIZE, TransformPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.spec import ArchSpec
@@ -40,17 +41,33 @@ TRANSFORMS_PER_MULTIPLY = 3
 
 @dataclass(frozen=True)
 class AcceleratorTiming:
-    """Closed-form timing of one accelerator configuration."""
+    """Closed-form timing of one accelerator configuration.
+
+    Only the transform's shape enters the formulas — stage ``i`` of any
+    ``n``-point plan runs ``n / R_i`` radix-``R_i`` sub-transforms — so
+    the model keeps ``n`` and ``radices`` (the paper's 64K shape by
+    default) and never builds a plan.  ``plan=`` is still accepted at
+    construction and sets both from the plan.
+    """
 
     pes: int = 4
     clock_ns: float = 5.0
-    plan: TransformPlan = field(default_factory=paper_64k_plan)
+    plan: InitVar[Optional[TransformPlan]] = None
     dot_product_multipliers: int = DOT_PRODUCT_MULTIPLIERS
     carry_words_per_cycle: int = CARRY_RECOVERY_WORDS_PER_CYCLE
     #: When set, FFT occupancy comes from the spec (FFT units per PE,
     #: buffer port widths); the closed-form dot/carry formulas read the
     #: matching scalar fields, which :meth:`for_arch` copies from it.
     arch: Optional["ArchSpec"] = None
+    n: int = PAPER_TRANSFORM_SIZE
+    radices: Tuple[int, ...] = PAPER_RADICES
+
+    def __post_init__(self, plan: Optional[TransformPlan]) -> None:
+        if plan is not None:
+            object.__setattr__(self, "n", plan.n)
+            object.__setattr__(self, "radices", plan.radices)
+        if math.prod(self.radices) != self.n:
+            raise ValueError(f"radices {self.radices} do not factor {self.n}")
 
     @classmethod
     def for_arch(
@@ -60,7 +77,7 @@ class AcceleratorTiming:
         return cls(
             pes=arch.pes,
             clock_ns=arch.clock_ns,
-            plan=plan if plan is not None else paper_64k_plan(),
+            plan=plan,
             dot_product_multipliers=arch.dot_product_multipliers,
             carry_words_per_cycle=arch.carry_words_per_cycle,
             arch=arch,
@@ -76,7 +93,8 @@ class AcceleratorTiming:
         units when an :class:`ArchSpec` provisions more than one).
         """
         out = []
-        for radix, count in self.plan.sub_transform_counts():
+        for radix in self.radices:
+            count = self.n // radix
             if self.arch is not None:
                 out.append(
                     (radix, self.arch.stage_compute_cycles(count, radix))
@@ -96,7 +114,7 @@ class AcceleratorTiming:
     # -- dot product ---------------------------------------------------------
 
     def dot_product_cycles(self) -> int:
-        return -(-self.plan.n // self.dot_product_multipliers)
+        return -(-self.n // self.dot_product_multipliers)
 
     def dot_product_time_us(self) -> float:
         """T_DOTPROD (10.24 µs at the paper operating point)."""
@@ -105,7 +123,7 @@ class AcceleratorTiming:
     # -- carry recovery -------------------------------------------------------
 
     def carry_recovery_cycles(self) -> int:
-        return -(-self.plan.n // self.carry_words_per_cycle)
+        return -(-self.n // self.carry_words_per_cycle)
 
     def carry_recovery_time_us(self) -> float:
         """T_CARRY (≈20.5 µs at the paper operating point)."""

@@ -138,6 +138,37 @@ class TestMultiplySmall:
         assert acc.multiply(a, b, fidelity="datapath")[0] == a * b
 
 
+class TestPELedgers:
+    @pytest.mark.parametrize(
+        "pes,one_row,four_rows",
+        [
+            (4, (6144, 12288, 12288), (24576, 49152, 49152)),
+            (16, (1536, 3840, 3840), (6144, 15360, 15360)),
+        ],
+    )
+    def test_paper_transform_ledgers(self, pes, one_row, four_rows):
+        """Per-PE (fft_cycles, words_sent, words_received) after one
+        paper 64K transform, then after a further 3-row batch; every
+        PE ends on buffer 0 (two swaps per transform call)."""
+        acc = HEAccelerator(pes=pes)
+
+        def ledgers():
+            return {
+                (
+                    pe.counters.fft_cycles,
+                    pe.counters.words_sent,
+                    pe.counters.words_received,
+                )
+                for pe in acc.pes
+            }
+
+        acc.distributed_ntt(np.zeros(acc.plan.n, dtype=np.uint64))
+        assert ledgers() == {one_row}
+        acc.distributed_ntt_batch(np.zeros((3, acc.plan.n), dtype=np.uint64))
+        assert ledgers() == {four_rows}
+        assert [pe.active_buffer for pe in acc.pes] == [0] * pes
+
+
 class TestPaperScale:
     def test_full_64k_fast_ntt(self, rng):
         acc = HEAccelerator()

@@ -1,7 +1,13 @@
 """Tests for the analytic timing model against the paper's Section V."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.hw.timing import (
     BASELINE_TIMING,
     PAPER_TIMING,
@@ -86,6 +92,35 @@ class TestScalingBehaviour:
         # 2 stages × (64/4) sub-transforms/PE × 8 cycles = 256 cycles.
         assert timing.fft_cycles() == 256
 
+    def test_shape_without_a_plan(self):
+        plan = plan_for_size(4096, (64, 64))
+        shaped = AcceleratorTiming(n=4096, radices=(64, 64))
+        assert shaped == AcceleratorTiming(plan=plan)
+        with pytest.raises(ValueError, match="do not factor"):
+            AcceleratorTiming(n=4096, radices=(64, 16))
+
     def test_more_dot_multipliers_cut_dot_time(self):
         wide = AcceleratorTiming(dot_product_multipliers=64)
         assert wide.dot_product_time_us() == pytest.approx(5.12)
+
+
+def test_import_builds_no_plan():
+    """``import repro`` builds no transform plan: the paper timing
+    constants need only the 64K plan's shape."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import repro\n"
+        "from repro.ntt.plan import plan_cache_stats\n"
+        "print(plan_cache_stats().misses)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

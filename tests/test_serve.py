@@ -228,6 +228,42 @@ class TestOps:
                     "pairs": [[[5, "loud"], [7, 1.0]]],
                 },
             )
+        with pytest.raises(ProtocolError, match="noise_bits"):
+            decode_op(
+                "dghv-mult",
+                {
+                    "params": params,
+                    "pairs": [[[5, 10 ** 400], [7, 1.0]]],
+                },
+            )
+
+    def test_rlwe_multiply_plain_rns_payload(self):
+        """An RNS ``rlwe-multiply-plain`` payload decodes under its
+        primes, matches the in-process batch and decrypts to the
+        negacyclic product mod ``t``."""
+        from repro.ntt.reference import convolution_reference
+
+        scheme, keys, (m1, m2), payload = _rlwe_wire_request()
+        wire = {
+            key: payload[key]
+            for key in ("n", "t", "noise_bound", "rns_primes")
+        }
+        wire["ciphertexts"] = [payload["pairs"][0][0]]
+        wire["plains"] = [m2]
+        job = decode_op("rlwe-multiply-plain", wire)
+        assert job.params == scheme.params
+        engine = Engine()
+        try:
+            got = job.run(engine)
+        finally:
+            engine.close()
+        want = scheme.multiply_plain_many(list(job.ciphertexts), [m2])
+        assert job.encode_result(got) == job.encode_result(want)
+        product = [
+            (v - P if v > P // 2 else v) % scheme.params.t
+            for v in convolution_reference(m1, m2, negacyclic=True)
+        ]
+        assert scheme.decrypt(keys, got[0]) == product
 
 
 # -- in-process service basics ---------------------------------------------
