@@ -82,7 +82,9 @@ def radix_plan_sweep(
     paper_shape = AcceleratorTiming.for_arch(spec)
     out: Dict[Tuple[int, ...], float] = {}
     for radices in plans:
-        timing = replace(paper_shape, n=n, radices=tuple(radices))
+        if math.prod(radices) != n:
+            raise ValueError(f"radices {tuple(radices)} do not factor {n}")
+        timing = replace(paper_shape, radices=tuple(radices))
         out[tuple(radices)] = timing.fft_time_us()
     return out
 

@@ -771,8 +771,9 @@ class HardwareModelBackend:
     fidelity they come from the same staged executor — and every call
     additionally produces the paper's timing reports.  One
     :class:`~repro.hw.accelerator.HEAccelerator` is built per transform
-    plan and reused across calls, so its PE ledgers accumulate over
-    the life of the engine.
+    plan and reused across calls, so its per-PE state (activity
+    ledgers, banked buffers) persists for the life of the engine and is
+    not safe to share between threads.
     """
 
     name = HW_MODEL

@@ -107,8 +107,9 @@ class Engine:
         job's own, never the caller's.  Note this isolation covers
         reports only: running compute on an engine from two threads at
         once (e.g. synchronous calls while jobs are in flight) is not
-        supported — caches and the hw-model's PE ledgers are
-        unsynchronized.  Route concurrent work through the job queue.
+        supported — caches and the hw-model's per-PE state (activity
+        ledgers, banked buffers) are unsynchronized.  Route concurrent
+        work through the job queue.
         """
         return getattr(self._thread_reports, "value", None)
 

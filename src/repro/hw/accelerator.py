@@ -362,10 +362,6 @@ class HEAccelerator:
             ModularMultiplier(name=f"dotmul{i}")
             for i in range(arch.dot_product_multipliers)
         ]
-        # Two ping-pong stage buffers for the datapath walk, shared by
-        # every row it runs: each stage reads one buffer and writes the
-        # other.  Allocated lazily on the first datapath transform.
-        self._stage_buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
         for radix, count in self.plan.sub_transform_counts():
             if count % pes:
                 raise ValueError(
@@ -376,23 +372,6 @@ class HEAccelerator:
     @property
     def pe_count(self) -> int:
         return len(self.pes)
-
-    def _stage_output(self, data: np.ndarray) -> np.ndarray:
-        """The reusable buffer the next stage writes (never ``data``).
-
-        Ping-pongs between the two persistent stage buffers; the one
-        currently holding the stage input (``data`` may be a reshaped
-        view of it) is skipped, so kernels never read what they write.
-        """
-        if self._stage_buffers is None:
-            self._stage_buffers = (
-                np.empty(self.plan.n, dtype=np.uint64),
-                np.empty(self.plan.n, dtype=np.uint64),
-            )
-        for buffer in self._stage_buffers:
-            if not np.shares_memory(buffer, data):
-                return buffer
-        raise AssertionError("both stage buffers alias the stage input")
 
     def _stage_geometry(self, plan: TransformPlan, index: int):
         """(block_length, radix, tail) of stage ``index``."""
@@ -668,9 +647,8 @@ class HEAccelerator:
         stage = plan.stages[index]
         blocks = plan.n // length
         # Every work item writes its own ``radix`` positions and the
-        # items tile all of [0, n), so the reused buffer needs no
-        # zero-fill.
-        out = self._stage_output(data)
+        # items tile all of [0, n), so the output needs no zero-fill.
+        out = np.empty_like(data)
         work_total = blocks * tail
         per_pe = work_total // self.pe_count
         for work in range(work_total):

@@ -9,7 +9,7 @@ P = 4 processing elements::
     T_MULT    = 3·T_FFT + T_DOTPROD + T_CARRY                 ≈ 122 µs
 
 :class:`AcceleratorTiming` reproduces these as the special case of a
-general model parameterized by the transform plan, PE count, clock and
+general model parameterized by the transform shape, PE count, clock and
 multiplier/adder provisioning — so the same class also yields the [28]
 baseline column of Table II (a single engine, i.e. P = 1, with its
 dot-product provisioning) and the PE-scaling sweep of the benchmarks.
@@ -18,10 +18,10 @@ dot-product provisioning) and the PE-scaling sweep of the benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.ntt.plan import PAPER_RADICES, PAPER_TRANSFORM_SIZE, TransformPlan
+from repro.ntt.plan import PAPER_RADICES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.arch.spec import ArchSpec
@@ -44,40 +44,32 @@ class AcceleratorTiming:
     """Closed-form timing of one accelerator configuration.
 
     Only the transform's shape enters the formulas — stage ``i`` of any
-    ``n``-point plan runs ``n / R_i`` radix-``R_i`` sub-transforms — so
-    the model keeps ``n`` and ``radices`` (the paper's 64K shape by
-    default) and never builds a plan.  ``plan=`` is still accepted at
-    construction and sets both from the plan.
+    plan runs ``n / R_i`` radix-``R_i`` sub-transforms — so the model
+    keeps the radices (the paper's 64K shape by default) and never
+    builds a plan.
     """
 
     pes: int = 4
     clock_ns: float = 5.0
-    plan: InitVar[Optional[TransformPlan]] = None
+    radices: Tuple[int, ...] = PAPER_RADICES
     dot_product_multipliers: int = DOT_PRODUCT_MULTIPLIERS
     carry_words_per_cycle: int = CARRY_RECOVERY_WORDS_PER_CYCLE
     #: When set, FFT occupancy comes from the spec (FFT units per PE,
     #: buffer port widths); the closed-form dot/carry formulas read the
     #: matching scalar fields, which :meth:`for_arch` copies from it.
     arch: Optional["ArchSpec"] = None
-    n: int = PAPER_TRANSFORM_SIZE
-    radices: Tuple[int, ...] = PAPER_RADICES
 
-    def __post_init__(self, plan: Optional[TransformPlan]) -> None:
-        if plan is not None:
-            object.__setattr__(self, "n", plan.n)
-            object.__setattr__(self, "radices", plan.radices)
-        if math.prod(self.radices) != self.n:
-            raise ValueError(f"radices {self.radices} do not factor {self.n}")
+    @property
+    def n(self) -> int:
+        """Transform size: the product of the radices."""
+        return math.prod(self.radices)
 
     @classmethod
-    def for_arch(
-        cls, arch: "ArchSpec", plan: Optional[TransformPlan] = None
-    ) -> "AcceleratorTiming":
+    def for_arch(cls, arch: "ArchSpec") -> "AcceleratorTiming":
         """The closed-form model of one declarative configuration."""
         return cls(
             pes=arch.pes,
             clock_ns=arch.clock_ns,
-            plan=plan,
             dot_product_multipliers=arch.dot_product_multipliers,
             carry_words_per_cycle=arch.carry_words_per_cycle,
             arch=arch,

@@ -53,6 +53,10 @@ class TestRadixPlans:
         values = set(round(v, 2) for v in sweep.values())
         assert values == {30.72}
 
+    def test_radices_must_factor_the_size(self):
+        with pytest.raises(ValueError, match="do not factor"):
+            radix_plan_sweep(plans=[(64, 64)])
+
 
 class TestCrossover:
     def test_paper_claim_order_of_magnitude(self):

@@ -82,22 +82,19 @@ class TestScalingBehaviour:
 
     def test_alternative_plan(self):
         plan = plan_for_size(65536, (16, 64, 64))
-        timing = AcceleratorTiming(plan=plan)
+        timing = AcceleratorTiming(radices=plan.radices)
         # 4096 radix-16 (2 cyc) + 2×1024 radix-64 (8 cyc) → same total.
         assert timing.fft_time_us() == pytest.approx(30.72)
 
     def test_smaller_transform(self):
         plan = plan_for_size(4096, (64, 64))
-        timing = AcceleratorTiming(plan=plan, pes=4)
+        timing = AcceleratorTiming(radices=plan.radices, pes=4)
         # 2 stages × (64/4) sub-transforms/PE × 8 cycles = 256 cycles.
         assert timing.fft_cycles() == 256
 
-    def test_shape_without_a_plan(self):
-        plan = plan_for_size(4096, (64, 64))
-        shaped = AcceleratorTiming(n=4096, radices=(64, 64))
-        assert shaped == AcceleratorTiming(plan=plan)
-        with pytest.raises(ValueError, match="do not factor"):
-            AcceleratorTiming(n=4096, radices=(64, 16))
+    def test_size_is_the_product_of_the_radices(self):
+        assert PAPER_TIMING.n == 65536
+        assert AcceleratorTiming(radices=(64, 64)).n == 4096
 
     def test_more_dot_multipliers_cut_dot_time(self):
         wide = AcceleratorTiming(dot_product_multipliers=64)
