@@ -76,7 +76,7 @@ from repro.engine.resilience import (
     RuntimeFaultError,
     deadline_scope,
 )
-from repro.field.vector import to_field_array, to_field_matrix
+from repro.field.vector import to_field_matrix
 
 # -- wire helpers ------------------------------------------------------------
 
@@ -161,43 +161,21 @@ def _rlwe_params(payload: dict):
 
 
 def _decode_ciphertext(raw, params):
-    """One wire ``[c0, c1]`` RLWE ciphertext.  A component is a flat
-    coefficient row (single-modulus) or a ``level × n`` list of
-    residue-channel rows (RNS)."""
+    """One wire ``[c0, c1]`` RLWE ciphertext at the chain level its
+    ``c0`` carries: one row per active RNS prime, while the
+    single-modulus chain's one row travels flat (see
+    :meth:`repro.fhe.rlwe.RLWEParams.component`)."""
     from repro.fhe.rlwe import RLWECiphertext
 
-    if not isinstance(raw, list) or len(raw) != 2:
+    if not isinstance(raw, list) or len(raw) != 2 or not all(
+        isinstance(part, list) for part in raw
+    ):
         raise ValueError("each ciphertext must be [c0, c1]")
-    level = None
-    components = []
-    for raw_component in raw:
-        rows = _int_rows(raw_component, "ciphertext component")
-        if params.is_rns and level is None:
-            level = len(rows)
-            if not 1 <= level <= params.level_count:
-                raise ValueError(
-                    "RNS component row count must match a chain level"
-                )
-        if any(len(row) != params.n for row in rows):
-            raise ValueError(
-                f"component rows must have {params.n} coefficients"
-            )
-        if not params.is_rns:
-            if len(rows) != 1:
-                raise ValueError(
-                    "single-modulus components must be flat rows"
-                )
-            components.append(to_field_array(rows[0]))
-            continue
-        if len(rows) != level:
-            raise ValueError(
-                f"RNS components must carry {level} channel rows"
-            )
-        try:
-            components.append(params.channel_residues(rows, level))
-        except ValueError as error:
-            raise ValueError(f"bad ciphertext: {error}") from None
-    c0, c1 = components
+    level = len(raw[0]) if params.is_rns else 1
+    try:
+        c0, c1 = (params.component(part, level) for part in raw)
+    except ValueError as error:
+        raise ValueError(f"bad ciphertext: {error}") from None
     return RLWECiphertext(c0=c0, c1=c1, params=params, level=level)
 
 

@@ -8,19 +8,26 @@ realizes that claim end to end: a symmetric BV-style scheme over
 negacyclic convolution on exactly the NTT machinery the accelerator
 implements.
 
-Two modulus representations share one API:
+Two modulus representations share one code path:
 
-- **single-modulus** (``rns_primes=None``): ``q = p = 2^64 − 2^32 + 1``,
-  ciphertext components are flat ``(n,)`` residue vectors and ring
-  products run directly in ``GF(p)``;
 - **RNS/CRT** (``rns_primes=(q_1, ..., q_k)``): ``q = Π q_i`` and a
   ciphertext component is a ``(k, n)`` matrix of residue channels —
   each channel is *just another batched negacyclic ring over the same
-  engine* (residues stack on the existing batch axis).  Channel
-  products are computed exactly: a mod-``p`` convolution whose integer
-  value is at most ``(p − 1)/2`` lifts to its centered integer and
-  reduces mod ``q_j``.  Three bounds let every operand be
-  forward-transformed at most once per call:
+  engine* (residues stack on the existing batch axis);
+- **single-modulus** (``rns_primes=None``): the one-channel chain whose
+  only prime is ``q = p = 2^64 − 2^32 + 1``.  Its components are flat
+  ``(n,)`` residue vectors, and ring products already are residues.
+
+Every operation computes ``GF(p)`` sums and products and hands them to
+a few private helpers of :class:`RLWE` — reduce to residues, split rows
+into components, sample uniform residues, lift a phase — which are the
+only places the representations differ, besides the algorithms that
+genuinely do: the key bodies, the relinearization digits (base ``2^w``
+vs CRT), tensor operand centering and :meth:`RLWE.mod_switch`.  RNS
+channel products are computed exactly: a mod-``p`` convolution whose
+integer value is at most ``(p − 1)/2`` lifts to its centered integer
+and reduces mod ``q_j``.  Three bounds let every operand be
+forward-transformed at most once per call:
 
   1. secret products multiply every channel row by *one* ``GF(p)`` row
      holding the signed ternary secret: ``|conv| ≤ n·(q − 1)``;
@@ -63,8 +70,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -292,6 +299,30 @@ class RLWEParams:
             raise ValueError("channel residues must be integers")
         return matrix.astype(np.uint64)
 
+    def component(self, raw, level: int) -> np.ndarray:
+        """One ciphertext or relinearization-key component from the
+        wire, at chain ``level``.
+
+        An RNS component is ``level`` rows of channel residues (see
+        :meth:`channel_residues`); the single-modulus chain has one
+        channel, whose row travels flat and reduces mod ``p``.  A
+        non-integer coefficient or any other shape raises
+        ``ValueError``.
+        """
+        if self.is_rns:
+            return self.channel_residues(raw, level)
+        if (
+            level != 1
+            or not isinstance(raw, list)
+            or len(raw) != self.n
+            or not all(isinstance(v, int) for v in raw)
+        ):
+            raise ValueError(
+                "a single-modulus component must be one flat row of "
+                f"{self.n} integers"
+            )
+        return to_field_array(raw)
+
 
 @dataclass
 class RLWECiphertext:
@@ -366,42 +397,25 @@ class RelinKeys:
 
     def to_payload(self) -> dict:
         """JSON-encodable form (see :class:`repro.serve` ``rlwe-multiply``)."""
-
-        def encode(component: np.ndarray):
-            if component.ndim == 1:
-                return [int(v) for v in component]
-            return [[int(v) for v in row] for row in component]
-
         return {
             "levels": {
-                str(level): [
-                    [encode(k0), encode(k1)] for k0, k1 in keys
-                ]
+                str(level): [[k0.tolist(), k1.tolist()] for k0, k1 in keys]
                 for level, keys in self.levels.items()
             }
         }
 
     @classmethod
     def from_payload(cls, params: RLWEParams, raw: dict) -> "RelinKeys":
+        """Keys from :meth:`to_payload` form; every component decodes
+        through :meth:`RLWEParams.component`."""
         raw_levels = raw.get("levels")
         if not isinstance(raw_levels, dict) or not raw_levels:
             raise ValueError("relin payload must carry a levels object")
-
-        def decode(component, level: int) -> np.ndarray:
-            if params.is_rns:
-                return params.channel_residues(component, level)
-            vector = to_field_array(component)
-            if vector.shape != (params.n,):
-                raise ValueError(
-                    f"relin component must have {params.n} coefficients"
-                )
-            return vector
-
         levels: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], ...]] = {}
         for key, raw_keys in raw_levels.items():
             level = int(key)
             levels[level] = tuple(
-                (decode(k0, level), decode(k1, level))
+                (params.component(k0, level), params.component(k1, level))
                 for k0, k1 in raw_keys
             )
         return cls(params=params, levels=levels)
@@ -460,10 +474,10 @@ class RLWE:
         self.rng = rng or random.Random()
         self.plan = plan
         self.engine = engine
+        #: The modulus chain: the RNS primes, or the one prime ``p``.
+        self._chain = params.rns_primes or (P,)
         if params.is_rns:
             self._primes = np.array(params.rns_primes, dtype=np.int64)
-        else:
-            self._primes = None
 
     # -- transform plumbing ------------------------------------------------
 
@@ -498,25 +512,39 @@ class RLWE:
             )
         return negacyclic_convolution_broadcast(rows, poly, self.plan)
 
-    # -- RNS channel arithmetic --------------------------------------------
+    # -- representation: where single-modulus and RNS differ ---------------
 
-    def _prime_column(self, level: int, repeat: int = 1) -> np.ndarray:
-        """``(repeat·level, 1)`` column of channel primes, cycled."""
-        return np.tile(self._primes[:level], repeat).reshape(-1, 1)
+    def _residues(self, rows: np.ndarray, level: int) -> np.ndarray:
+        """``GF(p)`` sums and products as ciphertext residues.
 
-    def _channel_reduce(
-        self, product_rows: np.ndarray, prime_column: np.ndarray
-    ) -> np.ndarray:
-        """Exact lift-and-reduce of mod-``p`` channel products.
-
-        Each product's integer value must lie within ``(p − 1)/2`` (see
-        the module docstring for the bounds every caller relies on):
-        the centered lift is then the true integer, which reduces mod
-        the row's channel prime.
+        ``rows`` cycles through the ``level`` channels on its
+        second-to-last axis.  In RNS mode every value's integer must
+        lie within ``(p − 1)/2`` (see the module docstring for the
+        bounds every caller relies on): its centered lift is then the
+        true integer, which reduces mod its channel's prime.  With
+        ``q = p`` the values already are residues.
         """
-        return (
-            _centered_lift(product_rows) % prime_column
-        ).astype(np.uint64)
+        if not self.params.is_rns:
+            return rows
+        primes = self._primes[:level, np.newaxis]
+        lifted = _centered_lift(rows).reshape(-1, level, self.params.n)
+        # Residues are non-negative: their int64 bits are their uint64 bits.
+        return (lifted % primes).view(np.uint64).reshape(rows.shape)
+
+    def _components(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """Stacked rows as ``count`` ciphertext components: flat
+        ``(n,)`` rows, or ``(level, n)`` blocks of channel rows."""
+        if not self.params.is_rns:
+            return rows.reshape(count, self.params.n)
+        return rows.reshape(count, -1, self.params.n)
+
+    def _lift(self, phase: np.ndarray, level: int) -> np.ndarray:
+        """Stacked phases as centered integers, one row per ciphertext:
+        the vectorized lift from ``GF(p)`` (``int64``), or the CRT of
+        ``level`` channels (Python ints, since ``q`` outgrows 64 bits)."""
+        if not self.params.is_rns:
+            return _centered_lift(phase)
+        return self._crt_lift(phase, level)
 
     @staticmethod
     def _secret_for(key) -> np.ndarray:
@@ -556,24 +584,18 @@ class RLWE:
             dtype=np.int64,
         )
 
-    def _uniform_field(self, count: int = 1) -> np.ndarray:
-        return to_field_matrix(
+    def _uniform(self, level: int, count: int = 1) -> np.ndarray:
+        """``(count·level, n)`` uniform residue rows: ``count`` elements
+        of ``Z_q``, one row per channel each (a uniform element of
+        ``Z_q`` *is* independent uniform residues per channel)."""
+        return np.array(
             [
-                [self.rng.randrange(P) for _ in range(self.params.n)]
+                [self.rng.randrange(q) for _ in range(self.params.n)]
                 for _ in range(count)
-            ]
+                for q in self._chain[:level]
+            ],
+            dtype=np.uint64,
         )
-
-    def _uniform_channels(self, level: int, count: int = 1) -> np.ndarray:
-        """``(count·level, n)`` uniform residue rows (a uniform element
-        of ``Z_q`` *is* independent uniform residues per channel)."""
-        rows = []
-        for _ in range(count):
-            for prime in self.params.rns_primes[:level]:
-                rows.append(
-                    [self.rng.randrange(prime) for _ in range(self.params.n)]
-                )
-        return np.array(rows, dtype=np.uint64)
 
     def keygen(self) -> RLWEKeyPair:
         """Draw a ternary secret and all relinearization keys.
@@ -591,7 +613,7 @@ class RLWE:
         s_sq = self._conv_broadcast(s_field.reshape(1, -1), s_field)[0]
         if not params.is_rns:
             digits = -(-64 // params.relin_base)  # ceil(64 / base)
-            a_rows = self._uniform_field(digits)
+            a_rows = self._uniform(1, digits)
             noises = self._noise_signed(digits)
             a_s = self._conv_broadcast(a_rows, s_field)
             keys = []
@@ -613,11 +635,8 @@ class RLWE:
         for level in range(2, params.level_count + 1):
             primes = params.rns_primes[:level]
             q = self.params.modulus(level)
-            a_rows = self._uniform_channels(level, count=level)
-            a_s = self._channel_reduce(
-                self._conv_broadcast(a_rows, s_field),
-                self._prime_column(level, repeat=level),
-            )
+            a_rows = self._uniform(level, count=level)
+            a_s = self._residues(self._conv_broadcast(a_rows, s_field), level)
             keys = []
             for i in range(level):
                 qhat = q // primes[i]
@@ -678,33 +697,17 @@ class RLWE:
         if not messages:
             return []
         batch = len(messages)
+        level = params.level_count
         noise = self._noise_signed(batch)
         payload = np.array(messages, dtype=np.int64) + params.t * noise
-        secret = self._secret_for(key)
-
-        if not params.is_rns:
-            a = self._uniform_field(batch)
-            a_s = self._conv_broadcast(a, secret)
-            c0 = vsub(to_field_matrix(payload), a_s)
-            return [
-                RLWECiphertext(c0=c0[i], c1=a[i], params=params)
-                for i in range(batch)
-            ]
-
-        level = params.level_count
-        a = self._uniform_channels(level, count=batch)
-        prime_col = self._prime_column(level, repeat=batch)
-        a_s = self._channel_reduce(self._conv_broadcast(a, secret), prime_col)
-        payload_rows = np.repeat(payload, level, axis=0)
-        c0 = (
-            (payload_rows - a_s.astype(np.int64)) % prime_col
-        ).astype(np.uint64)
+        a = self._uniform(level, count=batch)
+        a_s = self._conv_broadcast(a, self._secret_for(key))
+        payload_rows = np.repeat(to_field_matrix(payload), level, axis=0)
+        c0 = vsub(payload_rows, a_s, out=a_s)  # in place: no row temporaries
+        c0 = self._components(self._residues(c0, level), batch)
+        c1 = self._components(a, batch)
         return [
-            RLWECiphertext(
-                c0=c0[i * level : (i + 1) * level],
-                c1=a[i * level : (i + 1) * level],
-                params=params,
-            )
+            RLWECiphertext(c0=c0[i], c1=c1[i], params=params)
             for i in range(batch)
         ]
 
@@ -724,17 +727,12 @@ class RLWE:
         only when present): each product is one pass of every
         (channel) row against the single signed-secret row."""
         secret = self._secret_for(key)
-        primes = None
-        if self.params.is_rns:
-            primes = self._prime_column(cts[0].level, repeat=len(cts))
+        level = cts[0].level
 
         def mac(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
             """``acc + rows·s`` in the ciphertext ring."""
             product = self._conv_broadcast(rows, secret)
-            if primes is None:
-                return vadd(acc, product)
-            product = self._channel_reduce(product, primes)
-            return (acc + product) % primes.astype(np.uint64)
+            return self._residues(vadd(acc, product), level)
 
         c1 = np.vstack([ct.c1 for ct in cts])
         if any(ct.c2 is not None for ct in cts):
@@ -745,9 +743,10 @@ class RLWE:
             c1 = mac(c1, np.vstack(c2))
         return mac(np.vstack([ct.c0 for ct in cts]), c1)
 
-    def _crt_lift(self, rows: np.ndarray, level: int) -> List[List[int]]:
-        """CRT-recombine ``(batch·level, n)`` channels to integers mod
-        ``q`` (one Python-int row per ciphertext)."""
+    def _crt_lift(self, rows: np.ndarray, level: int) -> np.ndarray:
+        """CRT-recombine ``(batch·level, n)`` channels to centered
+        integers mod ``q`` (an ``object`` row of Python ints per
+        ciphertext)."""
         params = self.params
         primes = params.rns_primes[:level]
         q = params.modulus(level)
@@ -764,9 +763,10 @@ class RLWE:
                 x = 0
                 for i in range(level):
                     x += int(chunk[i, j]) * coefs[i]
-                row.append(x % q)
+                x %= q
+                row.append(x - q if x > q >> 1 else x)
             out.append(row)
-        return out
+        return np.array(out, dtype=object)
 
     def decrypt_many(
         self, key, cts: Sequence[RLWECiphertext]
@@ -777,28 +777,11 @@ class RLWE:
         directly via the ``c2·s²`` term — relinearization is a
         performance transform, not a decryption requirement.
         """
-        params = self.params
         cts = self._check_ciphertexts(cts)
         if not cts:
             return []
-        phase = self._phase_rows(key, cts)
-        if not params.is_rns:
-            return [
-                [
-                    (
-                        int(v) - P if int(v) > P >> 1 else int(v)
-                    ) % params.t
-                    for v in row
-                ]
-                for row in phase
-            ]
-        level = cts[0].level
-        q = params.modulus(level)
-        lifted = self._crt_lift(phase, level)
-        return [
-            [(x - q if x > q >> 1 else x) % params.t for x in row]
-            for row in lifted
-        ]
+        phase = self._lift(self._phase_rows(key, cts), cts[0].level)
+        return (phase % self.params.t).tolist()
 
     # -- homomorphic operations ---------------------------------------------
 
@@ -808,22 +791,15 @@ class RLWE:
             raise ValueError("parameter mismatch")
         if x.level != y.level or x.degree != y.degree:
             raise ValueError("ciphertexts at different levels or degrees")
-        if not self.params.is_rns:
-            return RLWECiphertext(
-                c0=vadd(x.c0, y.c0),
-                c1=vadd(x.c1, y.c1),
-                params=x.params,
-                c2=(
-                    vadd(x.c2, y.c2) if x.c2 is not None else None
-                ),
-                level=x.level,
-            )
-        primes = self._primes[: x.level, np.newaxis].astype(np.uint64)
+
+        def plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return self._residues(vadd(a, b), x.level)
+
         return RLWECiphertext(
-            c0=(x.c0 + y.c0) % primes,
-            c1=(x.c1 + y.c1) % primes,
+            c0=plus(x.c0, y.c0),
+            c1=plus(x.c1, y.c1),
             params=x.params,
-            c2=((x.c2 + y.c2) % primes if x.c2 is not None else None),
+            c2=(plus(x.c2, y.c2) if x.c2 is not None else None),
             level=x.level,
         )
 
@@ -861,60 +837,31 @@ class RLWE:
         if not cts:
             return []
         self._check_ciphertexts(cts)
-        params = self.params
         batch = len(cts)
-        polys = to_field_matrix(plains)
-
-        if not params.is_rns:
-            stacked = np.vstack(
-                [
-                    np.vstack([ct.c0 for ct in cts]),
-                    np.vstack([ct.c1 for ct in cts]),
-                ]
-            )
-            spectra = self._transform_rows(np.vstack([stacked, polys]))
-            ct_spectra = spectra[: 2 * batch]
-            plain_spectra = spectra[2 * batch :]
-            products = self._transform_rows(
-                vmul(
-                    ct_spectra, np.vstack([plain_spectra, plain_spectra])
-                ),
-                inverse=True,
-            )
-            return [
-                RLWECiphertext(
-                    c0=products[i],
-                    c1=products[batch + i],
-                    params=cts[i].params,
-                )
-                for i in range(batch)
-            ]
-
         level = cts[0].level
         rows = batch * level
-        stacked = np.vstack(
-            [
-                np.vstack([ct.c0 for ct in cts]),
-                np.vstack([ct.c1 for ct in cts]),
-            ]
+        spectra = self._transform_rows(
+            np.vstack(
+                [ct.c0 for ct in cts]
+                + [ct.c1 for ct in cts]
+                + [to_field_matrix(plains)]
+            )
         )
-        spectra = self._transform_rows(np.vstack([stacked, polys]))
-        ct_spectra = spectra[: 2 * rows]
         plain_spectra = np.repeat(spectra[2 * rows :], level, axis=0)
         products = self._transform_rows(
             vmul(
-                ct_spectra, np.vstack([plain_spectra, plain_spectra])
+                spectra[: 2 * rows],
+                np.vstack([plain_spectra, plain_spectra]),
             ),
             inverse=True,
         )
-        prime_col = self._prime_column(level, repeat=2 * batch)
-        reduced = self._channel_reduce(products, prime_col)
+        c0, c1 = (
+            self._components(part, batch)
+            for part in np.split(self._residues(products, level), 2)
+        )
         return [
             RLWECiphertext(
-                c0=reduced[i * level : (i + 1) * level],
-                c1=reduced[rows + i * level : rows + (i + 1) * level],
-                params=cts[i].params,
-                level=level,
+                c0=c0[i], c1=c1[i], params=cts[i].params, level=level
             )
             for i in range(batch)
         ]
@@ -953,32 +900,29 @@ class RLWE:
                     "relinearize first"
                 )
         params = self.params
-        level = xs[0].level if params.is_rns else 1
+        level = xs[0].level
         batch = len(pairs)
-        stacked = np.vstack(
+        stacked = np.stack(
             [x.c0 for x in xs] + [x.c1 for x in xs]
             + [y.c0 for y in ys] + [y.c1 for y in ys]
         )
         if params.is_rns:
-            stacked = _centered_field(
-                stacked, self._prime_column(level, repeat=4 * batch)
-            )
-        c0s, c1s, d0s, d1s = np.split(self._transform_rows(stacked), 4)
+            primes = self._primes[:level, np.newaxis]
+            stacked = _centered_field(stacked, primes)
+        c0s, c1s, d0s, d1s = np.split(
+            self._transform_rows(stacked.reshape(-1, params.n)), 4
+        )
         cross = vadd(vmul(c0s, d1s), vmul(c1s, d0s))
         products = self._transform_rows(
             np.vstack([vmul(c0s, d0s), cross, vmul(c1s, d1s)]), inverse=True
         )
-        if params.is_rns:
-            products = self._channel_reduce(
-                products, self._prime_column(level, repeat=3 * batch)
-            )
         e0, e1, e2 = (
-            part.reshape(batch, *xs[0].c0.shape)
-            for part in np.split(products, 3)
+            self._components(part, batch)
+            for part in np.split(self._residues(products, level), 3)
         )
         return [
             RLWECiphertext(
-                c0=e0[i], c1=e1[i], params=params, c2=e2[i], level=xs[0].level
+                c0=e0[i], c1=e1[i], params=params, c2=e2[i], level=level
             )
             for i in range(batch)
         ]
@@ -1063,16 +1007,18 @@ class RLWE:
             sums.append(acc)
         products = self._transform_rows(
             np.stack(sums, axis=1).reshape(-1, n), inverse=True
-        ).reshape(batch, len(sums), 2, -1, n)
+        )
         c01 = np.stack([np.stack([ct.c0, ct.c1]) for ct in cts])
-        if params.is_rns:
-            out = (
-                (_centered_lift(products) % primes).sum(axis=1)
-                + c01.astype(np.int64)
-            ) % primes
-            out = out.astype(np.uint64)
-        else:
-            out = vadd(c01, products[:, 0, :, 0])
+        # Each group reduces to residues before the groups add to
+        # (c0, c1): in RNS mode every partial sum stays below
+        # (groups + 1)·q_j, far inside the exact range.
+        reduced = self._residues(products, level).reshape(
+            batch, len(sums), *c01.shape[1:]
+        )
+        out = c01
+        for index in range(len(sums)):
+            out = vadd(out, reduced[:, index])
+        out = self._residues(out, level)
         return [
             RLWECiphertext(c0=c[0], c1=c[1], params=params, level=level)
             for c in out
@@ -1165,20 +1111,11 @@ class RLWE:
         reliable while the budget is positive; it shrinks with every
         homomorphic operation and is (partially) restored relative to
         the shrunken modulus by :meth:`mod_switch`."""
-        params = self.params
-        phase = self._phase_rows(key, [ct])
-        if not params.is_rns:
-            q = P
-            magnitude = max(
-                1, int(np.max(np.abs(_centered_lift(phase))))
-            )
-        else:
-            q = params.modulus(ct.level)
-            lifted = self._crt_lift(phase, ct.level)[0]
-            magnitude = max(
-                1, max(abs(x - q if x > q >> 1 else x) for x in lifted)
-            )
-        return math.log2(q / 2) - math.log2(magnitude)
+        phase = self._lift(self._phase_rows(key, [ct]), ct.level)
+        magnitude = max(1, int(np.abs(phase).max()))
+        return math.log2(self.params.modulus(ct.level) / 2) - math.log2(
+            magnitude
+        )
 
 
 __all__ = [

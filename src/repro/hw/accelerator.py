@@ -36,12 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.spec import ArchSpec, TOPOLOGY_HYPERCUBE
+from repro.arch.spec import ArchSpec
 from repro.field.vector import vmul
 from repro.hw.banked_memory import ARRAY_POINTS
 from repro.hw.data_route import column_read_beats, reductor_write_beats
 from repro.hw.fft64_unit import FFT64Config
-from repro.hw.hypercube import HypercubeTopology
 from repro.hw.modmul import ModularMultiplier
 from repro.hw.pe import ProcessingElement
 from repro.ntt.negacyclic import twist_tables
@@ -349,11 +348,6 @@ class HEAccelerator:
         if self.plan.n != params.transform_size:
             raise ValueError("plan size does not match SSA parameters")
         self.clock_ns = arch.clock_ns
-        self.topology = (
-            HypercubeTopology(pes)
-            if arch.exchange.topology == TOPOLOGY_HYPERCUBE
-            else None
-        )
         partition = self.plan.n // pes
         self.pes = [
             ProcessingElement(i, partition, config) for i in range(pes)
@@ -658,7 +652,9 @@ class HEAccelerator:
             flat = block * length + np.arange(radix) * tail + t
             samples = [int(data[i]) for i in flat]
             self._buffer_roundtrip(pe, local_work, samples, radix)
-            transformed = pe.run_sub_transform(samples, radix)
+            # The unit counts its busy cycles; the PE ledger is booked
+            # once per stage, by _timing_report.
+            transformed = pe.fft_unit.transform(samples, radix)
             if inverse:
                 transformed = [
                     transformed[(radix - k) % radix] for k in range(radix)

@@ -168,6 +168,19 @@ class TestPELedgers:
         assert ledgers() == {four_rows}
         assert [pe.active_buffer for pe in acc.pes] == [0] * pes
 
+    def test_datapath_books_fft_cycles_once(self, rng):
+        """After one datapath transform every PE's ``fft_cycles`` equals
+        the fast-fidelity ledger and its FFT unit's own busy count."""
+        plan = plan_for_size(1024, (64, 16))
+        x = to_field_array([rng.randrange(P) for _ in range(1024)])
+        fast = HEAccelerator(pes=4, plan=plan, params=SMALL_PARAMS)
+        datapath = HEAccelerator(pes=4, plan=plan, params=SMALL_PARAMS)
+        fast.distributed_ntt(x)
+        datapath.distributed_ntt(x, fidelity="datapath")
+        for want, pe in zip(fast.pes, datapath.pes):
+            assert pe.counters.fft_cycles == want.counters.fft_cycles
+            assert pe.counters.fft_cycles == pe.fft_unit.busy_cycles
+
 
 class TestPaperScale:
     def test_full_64k_fast_ntt(self, rng):

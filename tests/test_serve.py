@@ -39,7 +39,7 @@ from repro.engine.jobs import (
 )
 from repro.engine.resilience import JobTimeoutError
 from repro.fhe.params import TOY
-from repro.fhe.rlwe import RLWEParams
+from repro.fhe.rlwe import RLWE, RLWEParams
 from repro.field.solinas import P
 from repro.serve import (
     REJECT_GLOBAL_FULL,
@@ -210,6 +210,29 @@ class TestOps:
         assert decode_op("rlwe-multiply", payload).count == 1
         with pytest.raises(ProtocolError, match="channel 1 "):
             decode_op("rlwe-multiply", _with_bad_residue(payload, bad, where))
+
+    @pytest.mark.parametrize("where", ["ciphertext", "relin"])
+    def test_single_modulus_rlwe_multiply_rejects_floats(self, where):
+        """A non-integer coefficient is a typed error in every
+        single-modulus component, never truncated to an int."""
+        params = RLWEParams(n=16, t=17, noise_bound=4)
+        scheme = RLWE(params, rng=random.Random(49))
+        keys = scheme.keygen()
+        c1, c2 = scheme.encrypt_many(keys, [[1] * 16, [2] * 16])
+        payload = {
+            "n": 16,
+            "t": 17,
+            "noise_bound": 4,
+            "relin": keys.relin.to_payload(),
+            "pairs": [[[ct.c0.tolist(), ct.c1.tolist()] for ct in (c1, c2)]],
+        }
+        assert decode_op("rlwe-multiply", payload).count == 1
+        if where == "ciphertext":
+            payload["pairs"][0][1][0][3] = 1.5  # second ct, c0
+        else:
+            payload["relin"]["levels"]["1"][0][0][3] = 1.5  # digit 0, k0
+        with pytest.raises(ProtocolError, match="integers"):
+            decode_op("rlwe-multiply", payload)
 
     def test_dghv_noise_bits_must_be_numeric(self):
         params = {
