@@ -74,9 +74,7 @@ def overlap_case(pes: int, rows: int) -> dict:
     exchange cycles the steady-state overlap hides relative to the
     serial back-to-back schedule.
     """
-    arch = ArchSpec.paper_default().with_overrides(
-        pes=pes, name=f"hypercube-p{pes}"
-    )
+    arch = ArchSpec.paper_variant(pes=pes)
     accelerator = HEAccelerator(
         plan=plan_for_size(65536, (64, 64, 16)), arch=arch
     )

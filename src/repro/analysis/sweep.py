@@ -15,7 +15,7 @@ Backing for the scaling/ablation/crossover benchmarks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.spec import ArchSpec
@@ -44,10 +44,9 @@ def pe_scaling_sweep(
     points = []
     base: Optional[float] = None
     for pes in pe_counts:
-        spec = ArchSpec.paper_default().with_overrides(
-            pes=pes, clock_ns=clock_ns, name=f"hypercube-p{pes}"
+        timing = AcceleratorTiming(
+            ArchSpec.paper_variant(pes=pes, clock_ns=clock_ns)
         )
-        timing = AcceleratorTiming.for_arch(spec)
         fft = timing.fft_time_us()
         if base is None:
             base = fft
@@ -76,15 +75,12 @@ def radix_plan_sweep(
     clock_ns: float = 5.0,
 ) -> Dict[Tuple[int, ...], float]:
     """FFT latency of alternative radix factorizations of ``n``."""
-    spec = ArchSpec.paper_default().with_overrides(
-        pes=pes, clock_ns=clock_ns, name=f"hypercube-p{pes}"
-    )
-    paper_shape = AcceleratorTiming.for_arch(spec)
+    spec = ArchSpec.paper_variant(pes=pes, clock_ns=clock_ns)
     out: Dict[Tuple[int, ...], float] = {}
     for radices in plans:
         if math.prod(radices) != n:
             raise ValueError(f"radices {tuple(radices)} do not factor {n}")
-        timing = replace(paper_shape, radices=tuple(radices))
+        timing = AcceleratorTiming(spec, tuple(radices))
         out[tuple(radices)] = timing.fft_time_us()
     return out
 

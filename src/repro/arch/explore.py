@@ -240,8 +240,9 @@ def evaluate_candidate(
 
     Returns ``None`` for infeasible candidates (a stage's sub-transforms
     do not divide over the PEs).  The transform batch runs through the
-    pipelined cross-row schedule; dot-product and carry passes use the
-    spec's shared-unit formulas.
+    pipelined cross-row schedule; dot-product (with its pipeline fill,
+    as the hw-model report prices it) and carry passes use the spec's
+    shared-unit formulas.
     """
     # Deferred: repro.hw.accelerator imports this package at module
     # scope, so importing it here (first call is always post-init)
@@ -266,6 +267,7 @@ def evaluate_candidate(
         )
         total = batch.total_cycles + workload.products * (
             spec.dot_product_cycles(workload.n)
+            + spec.dot_product_fill_cycles
             + spec.carry_recovery_cycles(workload.n)
         )
         cycles.append((workload.name, total))

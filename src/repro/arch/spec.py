@@ -29,7 +29,7 @@ pre-refactor hard-coded model cycle for cycle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
@@ -53,11 +53,6 @@ TOPOLOGIES = (TOPOLOGY_HYPERCUBE, TOPOLOGY_RING, TOPOLOGY_ALL_TO_ALL)
 #: synthesis results — the proxy only needs to rank configurations).
 DSP_ALM_EQUIV = 25.0
 M20K_ALM_EQUIV = 40.0
-
-#: Points per 4096-point buffer array (mirrors the banked-memory model).
-_ARRAY_POINTS = 4096
-_WORD_BITS = 64
-_M20K_BITS = 20 * 1024
 
 #: Reference transform size for the memory/area census: the paper's
 #: 64K operating point.  Area depends on how much partition a PE must
@@ -349,6 +344,21 @@ class ArchSpec:
         """The DATE'16 operating point: P=4, 200 MHz, hypercube."""
         return cls()
 
+    @classmethod
+    def paper_variant(cls, **overrides: object) -> "ArchSpec":
+        """The paper point with the given fields replaced.
+
+        Overrides are flat, as in :meth:`with_overrides`; ``None``
+        values count as not given, so shorthand keywords pass straight
+        through.  A variant is named ``<topology>-p<pes>``
+        (``hypercube-p8``) unless ``name`` is given; with no overrides
+        this is :meth:`paper_default` itself.
+        """
+        given = {k: v for k, v in overrides.items() if v is not None}
+        spec = cls.paper_default().with_overrides(**given)
+        name = given.get("name", f"{spec.exchange.topology}-p{spec.pes}")
+        return replace(spec, name=name) if given else spec
+
     def with_overrides(self, **overrides: object) -> "ArchSpec":
         """A copy with fields replaced; nested ``pe``/``exchange``
         fields may be passed flat (``banks=8``, ``topology="ring"``)."""
@@ -379,19 +389,30 @@ class ArchSpec:
         return per_unit * self.initiation_interval(radix)
 
     def dot_product_cycles(self, points: int) -> int:
-        """Streaming the component-wise product over the dot bank.
+        """T_DOTPROD: each dot-product multiplier's share of the
+        component-wise product at one product per cycle.
 
-        One pipeline fill plus the per-multiplier share at one product
-        per cycle — ``ModularMultiplier.busy_cycles`` of the share.
+        This is the paper's term (2,048 cycles over 64K points at 32
+        multipliers) and the one Table II sums; the bank's pipeline
+        fill is the separate :attr:`dot_product_fill_cycles`.
+        """
+        return -(-points // self.dot_product_multipliers)
+
+    @property
+    def dot_product_fill_cycles(self) -> int:
+        """Pipeline fill of the dot-product bank: the cycles before its
+        first product leaves a multiplier (``PIPELINE_DEPTH − 1``).
+
+        The closed form behind Table II and the deployment model omit
+        it (24,576 cycles per multiplication at the paper point); the
+        hw-model report and the design-space explorer add it (24,580).
         """
         from repro.hw.modmul import PIPELINE_DEPTH
 
-        per_mul = -(-points // self.dot_product_multipliers)
-        if per_mul == 0:
-            return 0
-        return per_mul + PIPELINE_DEPTH - 1
+        return PIPELINE_DEPTH - 1
 
     def carry_recovery_cycles(self, points: int) -> int:
+        """T_CARRY: ``points`` digits through the streaming carry adder."""
         return -(-points // self.carry_words_per_cycle)
 
     # -- graph queries -----------------------------------------------------
@@ -426,9 +447,12 @@ class ArchSpec:
         for the :data:`AREA_REFERENCE_POINTS` partition.
         """
         from repro.hw import resources as rc
+        from repro.hw.banked_memory import ARRAY_POINTS, M20K_PER_BANK, WORD_BITS
         from repro.hw.data_route import DataRoute
         from repro.hw.fft64_unit import FFT64Config, FFT64Unit
+        from repro.hw.hypercube import HypercubeTopology
         from repro.hw.modmul import ModularMultiplier
+        from repro.hw.pe import STAGE_SEQUENCER
 
         unit = FFT64Unit(name="census", config=FFT64Config.proposed())
         fft = unit.resources().scale(self.pe.fft_units)
@@ -436,38 +460,31 @@ class ArchSpec:
             self.pe.twiddle_multipliers * self.pe.fft_units
         )
         arrays = max(
-            1, -(-(AREA_REFERENCE_POINTS // self.pes) // _ARRAY_POINTS)
+            1, -(-(AREA_REFERENCE_POINTS // self.pes) // ARRAY_POINTS)
         )
+        banks = self.pe.banks * arrays
         memory = rc.ZERO
         for _buffer in range(2):
-            bits = arrays * _ARRAY_POINTS * _WORD_BITS
-            blocks = self.pe.banks * arrays * max(
-                1, -(-(_ARRAY_POINTS * _WORD_BITS) // (self.pe.banks * _M20K_BITS))
+            sram = rc.ResourceEstimate(
+                m20k_bits=arrays * ARRAY_POINTS * WORD_BITS,
+                m20k_blocks=banks * M20K_PER_BANK,
             )
-            sram = rc.ResourceEstimate(m20k_bits=bits, m20k_blocks=blocks)
-            addressing = rc.adder(8).scale(self.pe.banks * arrays)
-            addressing = addressing + rc.registers(8, self.pe.banks * arrays)
-            network = rc.mux(_WORD_BITS, self.pe.banks * arrays).scale(
+            addressing = rc.adder(8).scale(banks) + rc.registers(8, banks)
+            network = rc.mux(WORD_BITS, banks).scale(
                 self.pe.bank_port_words * 2
             )
             memory = memory + sram + rc.with_overhead(addressing + network)
         route = DataRoute(name="census").resources().scale(self.pe.fft_units)
-        sequencer = rc.ResourceEstimate(alms=1_500, registers=256)
-        degree = (
-            len(self.edges()) // self.pes if self.pes > 1 else 0
-        )
-        channel = rc.registers(
-            _WORD_BITS, self.exchange.link_words_per_cycle * 2
-        )
-        engine = rc.ResourceEstimate(alms=2_200, registers=512)
-        links = (channel + engine).scale(max(1, degree) if self.pes > 1 else 0)
-        per_pe = fft + twiddle + memory + route + sequencer + links
+        links = HypercubeTopology.link_resources(
+            self.exchange.link_words_per_cycle
+        ).scale(len(self.edges()) // self.pes)
+        per_pe = fft + twiddle + memory + route + STAGE_SEQUENCER + links
         dot_bank = ModularMultiplier.resources().scale(
             self.dot_product_multipliers
         )
         carry_unit = rc.with_overhead(
-            rc.adder(_WORD_BITS).scale(self.carry_words_per_cycle)
-        ) + rc.registers(_WORD_BITS, self.carry_words_per_cycle)
+            rc.adder(WORD_BITS).scale(self.carry_words_per_cycle)
+        ) + rc.registers(WORD_BITS, self.carry_words_per_cycle)
         return {
             "pes": per_pe.scale(self.pes),
             "dot_product_bank": dot_bank,
@@ -494,27 +511,11 @@ class ArchSpec:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "pes": self.pes,
-            "clock_ns": self.clock_ns,
-            "pe": {
-                "fft_units": self.pe.fft_units,
-                "banks": self.pe.banks,
-                "bank_port_words": self.pe.bank_port_words,
-                "twiddle_multipliers": self.pe.twiddle_multipliers,
-            },
-            "exchange": {
-                "topology": self.exchange.topology,
-                "link_words_per_cycle": self.exchange.link_words_per_cycle,
-                "hop_latency_cycles": self.exchange.hop_latency_cycles,
-            },
-            "dot_product_multipliers": self.dot_product_multipliers,
-            "carry_words_per_cycle": self.carry_words_per_cycle,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ArchSpec":
+        default = cls()
         try:
             pe = PESpec(**data.get("pe", {}))  # type: ignore[arg-type]
             exchange = ExchangeSpec(
@@ -526,12 +527,13 @@ class ArchSpec:
                 clock_ns=float(data["clock_ns"]),  # type: ignore[index]
                 pe=pe,
                 exchange=exchange,
-                dot_product_multipliers=int(
-                    data.get("dot_product_multipliers", 32)  # type: ignore[arg-type]
-                ),
-                carry_words_per_cycle=int(
-                    data.get("carry_words_per_cycle", 16)  # type: ignore[arg-type]
-                ),
+                **{
+                    key: int(data.get(key, getattr(default, key)))
+                    for key in (
+                        "dot_product_multipliers",
+                        "carry_words_per_cycle",
+                    )
+                },
             )
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed ArchSpec dict: {error}") from None

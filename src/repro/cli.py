@@ -3,8 +3,9 @@
 Every compute command is a thin shell over one
 :class:`repro.engine.Engine`: the ``--pes`` / ``--workers`` /
 ``--backend`` flags build an
-:class:`~repro.engine.config.ExecutionConfig`, and the command body
-just calls the engine.
+:class:`~repro.engine.config.ExecutionConfig` (``--pes`` its
+:class:`~repro.arch.spec.ArchSpec`), and the command body just calls
+the engine.
 
 Commands:
 
@@ -32,11 +33,11 @@ from typing import List, Optional
 
 def _engine(args: argparse.Namespace, backend: str = "software"):
     """Build the Engine the command flags describe."""
+    from repro.arch import ArchSpec
     from repro.engine import Engine, ExecutionConfig
 
-    overrides = {}
-    if getattr(args, "pes", None) is not None:
-        overrides["pes"] = args.pes
+    pes = getattr(args, "pes", None)
+    overrides = {"arch": ArchSpec.paper_variant(pes=pes)}
     workers = getattr(args, "workers", None)
     if workers is not None:
         overrides["workers"] = workers
@@ -283,24 +284,14 @@ def _cmd_arch_show(args: argparse.Namespace) -> None:
         with open(args.spec, "r", encoding="utf-8") as handle:
             spec = ArchSpec.from_json(handle.read())
     else:
-        spec = ArchSpec.paper_default()
-        overrides = {}
-        if args.pes is not None:
-            overrides["pes"] = args.pes
-        if args.topology is not None:
-            overrides["topology"] = args.topology
-        if overrides:
-            topology = args.topology or spec.exchange.topology
-            pes = args.pes or spec.pes
-            overrides["name"] = f"{topology}-p{pes}"
-            spec = spec.with_overrides(**overrides)
+        spec = ArchSpec.paper_variant(pes=args.pes, topology=args.topology)
     if args.json:
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return
     print(spec.render())
     from repro.hw.timing import AcceleratorTiming
 
-    timing = AcceleratorTiming.for_arch(spec)
+    timing = AcceleratorTiming(spec)
     print(
         f"  closed-form timing: T_FFT {timing.fft_time_us():.2f} us, "
         f"T_MULT {timing.multiplication_time_us():.2f} us"

@@ -806,7 +806,7 @@ class HardwareModelBackend:
 
         ``plan`` defaults to the paper's 64K plan (built in the
         engine's cache) and ``params`` to the matching SSA sizing.  The
-        architecture is the engine's resolved
+        architecture is the engine config's
         :class:`~repro.arch.spec.ArchSpec`, with the PE count shrunk to
         the largest power of two the plan's smallest stage can still be
         partitioned over.
@@ -820,7 +820,7 @@ class HardwareModelBackend:
             plan = engine.plan(params.transform_size)
         elif params is None:
             params = engine._params_for_plan(plan)
-        arch = engine.config.resolved_arch()
+        arch = engine.config.arch
         pes = self._compatible_pes(arch.pes, plan)
         if pes != arch.pes:
             arch = arch.with_overrides(

@@ -1,16 +1,16 @@
 """Execution configuration for the :class:`repro.engine.Engine` façade.
 
 One frozen :class:`ExecutionConfig` fixes every knob that used to be
-hand-threaded through the stack (PE counts, clock period, batch
-chunking, worker pools) so the whole field→NTT→SSA→FHE→hw pipeline is
-configured in exactly one place.  The NTT stage kernel is not one of
+hand-threaded through the stack (the modeled machine, batch chunking,
+worker pools) so the whole field→NTT→SSA→FHE→hw pipeline is configured
+in exactly one place.  The NTT stage kernel is not one of
 them: the host picks it (``compiled`` when its C library loads, else
 ``limb-matmul``; see :mod:`repro.ntt.kernels`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.arch.spec import ArchSpec
@@ -40,20 +40,12 @@ class ExecutionConfig:
         every request.  ``True`` / ``False`` are accepted as aliases
         for ``"private"`` / ``"off"``.
     arch:
-        Full declarative architecture description
-        (:class:`repro.arch.spec.ArchSpec`) for the ``hw-model``
-        backend.  When given it is authoritative: ``pes`` and
-        ``clock_ns`` are overwritten from it so every reader of the
-        config sees one consistent configuration.  When ``None`` the
-        two scalars act as back-compat shorthands and a paper-shaped
-        spec is built from them.
-    pes:
-        Processing-element count for the ``hw-model`` backend (power of
-        two).  Backends shrink this automatically for transforms too
-        small to partition over the full count.
-    clock_ns:
-        Clock period of the ``hw-model`` cycle model (5 ns = 200 MHz,
-        the paper's Stratix V operating point).
+        The machine the ``hw-model`` backend models: one declarative
+        :class:`repro.arch.spec.ArchSpec` (PE count, clock, per-PE
+        units, exchange, dot-product and carry provisioning), the
+        paper's 4-PE, 200 MHz operating point by default.  The backend
+        shrinks its PE count for transforms too small to partition
+        over all of them.
     fidelity:
         ``hw-model`` simulation fidelity: ``"fast"`` (values from the
         staged executor) or ``"datapath"`` (every beat through the
@@ -89,9 +81,7 @@ class ExecutionConfig:
 
     batch_chunk: Optional[int] = None
     cache: object = CACHE_PRIVATE
-    arch: Optional[ArchSpec] = None
-    pes: int = 4
-    clock_ns: float = 5.0
+    arch: ArchSpec = field(default_factory=ArchSpec.paper_default)
     fidelity: str = "fast"
     coefficient_bits: int = 24
     workers: Optional[int] = None
@@ -112,13 +102,6 @@ class ExecutionConfig:
         object.__setattr__(self, "cache", cache)
         if self.batch_chunk is not None and self.batch_chunk < 1:
             raise ValueError("batch_chunk must be a positive integer")
-        if self.arch is not None:
-            # The spec is authoritative: mirror its scalars so every
-            # reader of config.pes / config.clock_ns stays consistent.
-            object.__setattr__(self, "pes", self.arch.pes)
-            object.__setattr__(self, "clock_ns", self.arch.clock_ns)
-        if self.pes < 1 or self.pes & (self.pes - 1):
-            raise ValueError("pes must be a power of two")
         if self.fidelity not in ("fast", "datapath"):
             raise ValueError(
                 f"fidelity must be 'fast' or 'datapath', got {self.fidelity!r}"
@@ -138,23 +121,6 @@ class ExecutionConfig:
     def with_overrides(self, **overrides: object) -> "ExecutionConfig":
         """A copy with the given fields replaced (validation re-run)."""
         return replace(self, **overrides)  # type: ignore[arg-type]
-
-    def resolved_arch(self) -> ArchSpec:
-        """The effective architecture description.
-
-        The explicit ``arch`` when set; otherwise a paper-shaped spec
-        carrying the ``pes``/``clock_ns`` shorthands.
-        """
-        if self.arch is not None:
-            return self.arch
-        spec = ArchSpec.paper_default()
-        if self.pes != spec.pes or self.clock_ns != spec.clock_ns:
-            spec = spec.with_overrides(
-                pes=self.pes,
-                clock_ns=self.clock_ns,
-                name=f"hypercube-p{self.pes}",
-            )
-        return spec
 
 
 __all__ = [

@@ -116,13 +116,19 @@ def _field_matrix(raw: list, rows: list) -> np.ndarray:
 
 def _field_rows(values, n: int, label: str) -> Tuple[np.ndarray, bool]:
     """``values`` as a ``(batch, n)`` uint64 matrix, and whether it
-    came as one flat row."""
+    came as one flat row.
+
+    Rows that are not uint64 already go to :func:`to_field_matrix` as
+    the caller gave them: its exact per-row fallback keeps Python ints
+    in ``[2^63, 2^64)`` that ``np.asarray`` would round through
+    float64.
+    """
     rows = np.asarray(values)
     flat = rows.ndim == 1
-    if flat:
-        rows = rows.reshape(1, -1)
     if rows.dtype != np.uint64:
-        rows = to_field_matrix(rows)
+        rows = to_field_matrix([values] if flat else values)
+    elif flat:
+        rows = rows.reshape(1, -1)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"{label} must be (batch, {n}), got {rows.shape}")
     return rows, flat

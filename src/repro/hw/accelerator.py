@@ -41,7 +41,6 @@ from repro.field.vector import vmul
 from repro.hw.banked_memory import ARRAY_POINTS
 from repro.hw.data_route import column_read_beats, reductor_write_beats
 from repro.hw.fft64_unit import FFT64Config
-from repro.hw.modmul import ModularMultiplier
 from repro.hw.pe import ProcessingElement
 from repro.ntt.negacyclic import twist_tables
 from repro.ntt.plan import (
@@ -66,9 +65,15 @@ class StageTiming:
     compute_cycles_per_pe: int
     exchange_words_per_link: int
     exchange_cycles: int
-    overlapped: bool
+    #: Exchange cycles not hidden behind the next compute stage.
+    exposed_cycles: int
     #: Words each PE sends (and receives) in the trailing exchange.
     words_sent_per_pe: int
+
+    @property
+    def overlapped(self) -> bool:
+        """The trailing exchange hides behind the next compute stage."""
+        return self.exposed_cycles == 0
 
 
 @dataclass
@@ -93,16 +98,7 @@ class DistributedFFTReport:
     @property
     def stall_cycles(self) -> int:
         """Exchange cycles not hidden behind the next compute stage."""
-        stalls = 0
-        for step, stage in enumerate(self.stages):
-            if stage.exchange_cycles and not stage.overlapped:
-                follower = (
-                    self.stages[step + 1].compute_cycles_per_pe
-                    if step + 1 < len(self.stages)
-                    else 0
-                )
-                stalls += max(0, stage.exchange_cycles - follower)
-        return stalls
+        return sum(s.exposed_cycles for s in self.stages)
 
     @property
     def total_cycles(self) -> int:
@@ -248,15 +244,22 @@ class MultiplyReport:
         return "\n".join(lines)
 
 
-def stage_ownership(
-    plan: TransformPlan, index: int, pes: int
-) -> np.ndarray:
-    """Owning PE of every flat data position during stage ``index``."""
+def stage_geometry(plan: TransformPlan, index: int) -> Tuple[int, int, int]:
+    """``(block_length, radix, tail)`` of stage ``index``: the stage
+    runs radix-``radix`` sub-transforms over blocks of ``block_length``
+    points whose inputs sit ``tail`` apart."""
     length = plan.n
     for radix in plan.radices[:index]:
         length //= radix
     radix = plan.radices[index]
-    tail = length // radix
+    return length, radix, length // radix
+
+
+def stage_ownership(
+    plan: TransformPlan, index: int, pes: int
+) -> np.ndarray:
+    """Owning PE of every flat data position during stage ``index``."""
+    length, radix, tail = stage_geometry(plan, index)
     flat = np.arange(plan.n, dtype=np.int64)
     work = (flat // length) * tail + (flat % tail)
     per_pe = (plan.n // radix) // pes
@@ -309,7 +312,7 @@ def plan_schedule(arch: ArchSpec, plan: TransformPlan) -> DistributedFFTReport:
                 compute_cycles_per_pe=compute,
                 exchange_words_per_link=words,
                 exchange_cycles=exchange_cycles,
-                overlapped=exchange_cycles <= next_compute,
+                exposed_cycles=max(0, exchange_cycles - next_compute),
                 words_sent_per_pe=sent,
             )
         )
@@ -320,27 +323,23 @@ class HEAccelerator:
     """The multi-PE accelerator (paper operating point by default).
 
     The configuration lives in one declarative
-    :class:`~repro.arch.spec.ArchSpec`; the legacy ``pes``/``clock_ns``
-    scalars remain as shorthands that build a paper-shaped spec with
-    those two knobs replaced.  When ``arch`` is given it wins and the
-    scalars are ignored.
+    :class:`~repro.arch.spec.ArchSpec`; the ``pes``/``clock_ns``
+    shorthands replace those fields of the paper spec
+    (:meth:`ArchSpec.paper_variant`).  When ``arch`` is given it wins
+    and the shorthands are ignored.
     """
 
     def __init__(
         self,
-        pes: int = 4,
+        pes: Optional[int] = None,
         plan: Optional[TransformPlan] = None,
         params: SSAParameters = PAPER_PARAMETERS,
-        clock_ns: float = 5.0,
+        clock_ns: Optional[float] = None,
         config: Optional[FFT64Config] = None,
         arch: Optional[ArchSpec] = None,
     ):
         if arch is None:
-            arch = ArchSpec.paper_default()
-            if pes != arch.pes or clock_ns != arch.clock_ns:
-                arch = arch.with_overrides(
-                    pes=pes, clock_ns=clock_ns, name=f"hypercube-p{pes}"
-                )
+            arch = ArchSpec.paper_variant(pes=pes, clock_ns=clock_ns)
         self.arch = arch
         pes = arch.pes
         self.plan = plan if plan is not None else paper_64k_plan()
@@ -352,10 +351,6 @@ class HEAccelerator:
         self.pes = [
             ProcessingElement(i, partition, config) for i in range(pes)
         ]
-        self.dot_product_multipliers = [
-            ModularMultiplier(name=f"dotmul{i}")
-            for i in range(arch.dot_product_multipliers)
-        ]
         for radix, count in self.plan.sub_transform_counts():
             if count % pes:
                 raise ValueError(
@@ -366,14 +361,6 @@ class HEAccelerator:
     @property
     def pe_count(self) -> int:
         return len(self.pes)
-
-    def _stage_geometry(self, plan: TransformPlan, index: int):
-        """(block_length, radix, tail) of stage ``index``."""
-        length = plan.n
-        for radix in plan.radices[:index]:
-            length //= radix
-        radix = plan.radices[index]
-        return length, radix, length // radix
 
     # -- distributed transform -------------------------------------------
 
@@ -637,7 +624,7 @@ class HEAccelerator:
         hardware is just a different address sequence in the data
         route.
         """
-        length, radix, tail = self._stage_geometry(plan, index)
+        length, radix, tail = stage_geometry(plan, index)
         stage = plan.stages[index]
         blocks = plan.n // length
         # Every work item writes its own ``radix`` positions and the
@@ -734,14 +721,13 @@ class HEAccelerator:
         spec_a, fft_a = self._ntt_flat(conv_plan, vec_a, False, fidelity)
         spec_b, fft_b = self._ntt_flat(conv_plan, vec_b, False, fidelity)
 
-        # Component-wise product on the dot-product multiplier bank.
+        # Component-wise product on the dot-product multiplier bank,
+        # priced with its pipeline fill.
         spectrum = vmul(spec_a, spec_b)
-        products_per_mul = self.plan.n // len(self.dot_product_multipliers)
-        dot_cycles = self.dot_product_multipliers[0].busy_cycles(
-            products_per_mul
+        dot_cycles = (
+            self.arch.dot_product_cycles(self.plan.n)
+            + self.arch.dot_product_fill_cycles
         )
-        for multiplier in self.dot_product_multipliers:
-            multiplier.operations += products_per_mul
 
         conv, fft_c = self._ntt_flat(conv_plan, spectrum, True, fidelity)
 
@@ -751,25 +737,14 @@ class HEAccelerator:
         carry_cycles = self.arch.carry_recovery_cycles(self.plan.n)
         product = recompose(digits, self.params.coefficient_bits)
 
-        report.phases.append(
-            MultiplyPhase("fft_a", fft_a.total_cycles, fft_a.time_us)
-        )
-        report.phases.append(
-            MultiplyPhase("fft_b", fft_b.total_cycles, fft_b.time_us)
-        )
-        report.phases.append(
-            MultiplyPhase(
-                "dot_product", dot_cycles, dot_cycles * self.clock_ns / 1000.0
+        for name, cycles in (
+            ("fft_a", fft_a.total_cycles),
+            ("fft_b", fft_b.total_cycles),
+            ("dot_product", dot_cycles),
+            ("inverse_fft", fft_c.total_cycles),
+            ("carry_recovery", carry_cycles),
+        ):
+            report.phases.append(
+                MultiplyPhase(name, cycles, cycles * self.clock_ns / 1000.0)
             )
-        )
-        report.phases.append(
-            MultiplyPhase("inverse_fft", fft_c.total_cycles, fft_c.time_us)
-        )
-        report.phases.append(
-            MultiplyPhase(
-                "carry_recovery",
-                carry_cycles,
-                carry_cycles * self.clock_ns / 1000.0,
-            )
-        )
         return product, report

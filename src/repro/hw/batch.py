@@ -25,7 +25,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from repro.hw.timing import AcceleratorTiming, PAPER_TIMING
+from repro.hw.timing import (
+    PAPER_TIMING,
+    TRANSFORMS_PER_MULTIPLY,
+    AcceleratorTiming,
+)
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,9 @@ def schedule_batch(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    fft_cycles = 3 * timing.fft_cycles()
+    fft_cycles = TRANSFORMS_PER_MULTIPLY * timing.fft_cycles()
     dot_cycles = timing.dot_product_cycles()
     carry_cycles = timing.carry_recovery_cycles()
-    serial_per_mult = fft_cycles + dot_cycles + carry_cycles
 
     spans: List[Tuple[int, int, int, int]] = []
     fft_free = dot_free = carry_free = 0
@@ -109,9 +112,9 @@ def schedule_batch(
         spans.append((fft_start, dot_start, carry_start, finish))
     return BatchSchedule(
         count=count,
-        clock_ns=timing.clock_ns,
+        clock_ns=timing.arch.clock_ns,
         spans=tuple(spans),
-        serial_cycles=serial_per_mult * count,
+        serial_cycles=timing.multiplication_cycles() * count,
     )
 
 

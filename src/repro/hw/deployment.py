@@ -10,10 +10,12 @@ captures what changes between those deployments:
   board-to-board links far less),
 - clock rate.
 
-The FFT latency generalizes the Section V formula with communication
-*exposure*: each of the ``d`` e-cube hops moves ``n/(2P)`` words per
-node; whatever does not fit under the next compute stage stalls the
-pipeline.  On-chip at the paper's operating point the exchange hides
+The FFT latency is the accelerator's own stage schedule
+(:func:`~repro.hw.accelerator.plan_schedule`) under the deployment's
+:class:`~repro.arch.spec.ArchSpec`, which adds communication
+*exposure* to the Section V formula: each of the ``d`` e-cube hops
+moves ``n/(2P)`` words per node, and whatever does not fit under the
+next compute stage stalls the pipeline.  On-chip at the paper's operating point the exchange hides
 exactly (the l > d argument); on a multi-board prototype it does not —
 which is the quantitative story behind the paper's move to a single
 large device.
@@ -24,10 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.arch.spec import ArchSpec
+from repro.hw.accelerator import (
+    DistributedFFTReport,
+    StageTiming,
+    plan_schedule,
+)
 from repro.hw.device import CYCLONE_V_PROTOTYPE, STRATIX_V_GSMD8, FpgaDevice
-from repro.hw.fft64_unit import FFT64Unit
 from repro.hw.pe import ProcessingElement
-from repro.hw.timing import TRANSFORMS_PER_MULTIPLY
+from repro.hw.timing import multiplication_cycles
 from repro.ntt.plan import TransformPlan, paper_64k_plan
 
 
@@ -47,6 +54,18 @@ class DeploymentSpec:
     @property
     def devices_needed(self) -> int:
         return -(-self.pes // self.pes_per_device)
+
+    @property
+    def arch(self) -> ArchSpec:
+        """The machine this deployment realizes: the paper spec with the
+        deployment's PE count, clock, link width and dot-product bank."""
+        return ArchSpec.paper_variant(
+            name=self.name,
+            pes=self.pes,
+            clock_ns=self.clock_ns,
+            link_words_per_cycle=self.link_words_per_cycle,
+            dot_product_multipliers=self.dot_product_multipliers,
+        )
 
 
 #: The paper's final implementation: everything in one Stratix V.
@@ -74,32 +93,27 @@ CYCLONE_MULTI_BOARD = DeploymentSpec(
 
 
 @dataclass(frozen=True)
-class StageBudget:
-    radix: int
-    compute_cycles: int
-    exchange_cycles: int
-    exposed_cycles: int
-
-
-@dataclass(frozen=True)
 class DeploymentReport:
     spec: DeploymentSpec
-    stages: Tuple[StageBudget, ...]
+    #: The transform's stage schedule under :attr:`DeploymentSpec.arch`.
+    schedule: DistributedFFTReport
     fits: bool
     fit_notes: Tuple[str, ...]
 
     @property
+    def stages(self) -> List[StageTiming]:
+        return self.schedule.stages
+
+    @property
     def fft_cycles(self) -> int:
-        return sum(s.compute_cycles + s.exposed_cycles for s in self.stages)
+        return self.schedule.total_cycles
 
     @property
     def fft_time_us(self) -> float:
-        return self.fft_cycles * self.spec.clock_ns / 1000.0
+        return self.schedule.time_us
 
     def multiplication_time_us(self, n: int) -> float:
-        dot = -(-n // self.spec.dot_product_multipliers)
-        carry = -(-n // 16)
-        cycles = TRANSFORMS_PER_MULTIPLY * self.fft_cycles + dot + carry
+        cycles = multiplication_cycles(self.spec.arch, self.fft_cycles, n)
         return cycles * self.spec.clock_ns / 1000.0
 
     def render(self) -> str:
@@ -111,7 +125,7 @@ class DeploymentReport:
             f"  T_FFT = {self.fft_time_us:.2f} us "
             f"({self.fft_cycles} cycles at {1000 / self.spec.clock_ns:.0f} MHz)",
         ]
-        for i, s in enumerate(self.stages):
+        for s in self.stages:
             exposure = (
                 f", {s.exposed_cycles} EXPOSED"
                 if s.exposed_cycles
@@ -123,8 +137,8 @@ class DeploymentReport:
                 else ""
             )
             lines.append(
-                f"    stage {i}: radix-{s.radix}, "
-                f"{s.compute_cycles} compute{comm}"
+                f"    stage {s.index}: radix-{s.radix}, "
+                f"{s.compute_cycles_per_pe} compute{comm}"
             )
         return "\n".join(lines)
 
@@ -132,40 +146,20 @@ class DeploymentReport:
 def evaluate_deployment(
     spec: DeploymentSpec, plan: TransformPlan = None
 ) -> DeploymentReport:
-    """Latency and fit analysis of a deployment."""
+    """Latency and fit analysis of a deployment.
+
+    The latency is the accelerator's own stage schedule
+    (:func:`~repro.hw.accelerator.plan_schedule`) under the
+    deployment's machine; the fit check packs ``pes_per_device`` full
+    PEs into one device.
+    """
     if plan is None:
         plan = paper_64k_plan()
-    n = plan.n
-    counts = plan.sub_transform_counts()
-
-    compute = [
-        (count // spec.pes) * FFT64Unit.initiation_interval(radix)
-        for radix, count in counts
-    ]
-    dimension = max(0, spec.pes.bit_length() - 1)
-    # One redistribution after the first stage: d hops of n/(2P) words.
-    exchange_after = [0] * len(counts)
-    if spec.pes > 1 and len(counts) > 1:
-        per_hop = n // (2 * spec.pes)
-        hop_cycles = -(-per_hop // spec.link_words_per_cycle)
-        exchange_after[0] = dimension * hop_cycles
-
-    stages: List[StageBudget] = []
-    for index, ((radix, _), comp) in enumerate(zip(counts, compute)):
-        exchange = exchange_after[index]
-        follower = compute[index + 1] if index + 1 < len(compute) else 0
-        exposed = max(0, exchange - follower)
-        stages.append(
-            StageBudget(
-                radix=radix,
-                compute_cycles=comp,
-                exchange_cycles=exchange,
-                exposed_cycles=exposed,
-            )
-        )
+    schedule = plan_schedule(spec.arch, plan)
 
     notes = []
-    pe = ProcessingElement(0, n // spec.pes)
+    dimension = max(0, spec.pes.bit_length() - 1)
+    pe = ProcessingElement(0, plan.n // spec.pes)
     per_device = pe.resources(dimension).scale(spec.pes_per_device)
     fits = True
     for resource, capacity in (
@@ -181,5 +175,5 @@ def evaluate_deployment(
                 f"{resource}: need {used:.0f} > {capacity} available"
             )
     return DeploymentReport(
-        spec=spec, stages=tuple(stages), fits=fits, fit_notes=tuple(notes)
+        spec=spec, schedule=schedule, fits=fits, fit_notes=tuple(notes)
     )

@@ -86,18 +86,21 @@ class HypercubeTopology:
             raise ValueError(f"node {node} outside hypercube")
 
     @staticmethod
-    def link_resources() -> rc.ResourceEstimate:
+    def link_resources(
+        words_per_cycle: int = LINK_WORDS_PER_CYCLE,
+    ) -> rc.ResourceEstimate:
         """One link endpoint: the exchange engine of a PE.
 
-        Channel staging registers (8 words in each direction) plus the
-        data-exchange machinery each node needs per dimension: address
-        translation between local and partner index spaces, the
-        send/receive DMA sequencers into the double buffers, and
-        flow-control/credit logic.  The engine ALM figure is calibrated
+        Channel staging registers (``words_per_cycle`` words in each
+        direction, 8 at the paper point) plus the data-exchange
+        machinery each node needs per dimension: address translation
+        between local and partner index spaces, the send/receive DMA
+        sequencers into the double buffers, and flow-control/credit
+        logic.  The engine ALM figure is calibrated
         against the paper's system total (the distributed organization
         spends logic on movement that the shared-memory baseline does
         not have — the price of its scalability).
         """
-        channel = rc.registers(64, LINK_WORDS_PER_CYCLE * 2)
+        channel = rc.registers(64, words_per_cycle * 2)
         engine = rc.ResourceEstimate(alms=2_200, registers=512)
         return channel + engine

@@ -23,6 +23,11 @@ from repro.hw.modmul import ModularMultiplier
 #: Twiddle multipliers per PE: one per output lane of the FFT unit.
 TWIDDLE_MULTIPLIERS = 8
 
+#: Per-node stage sequencer: drives the compute/exchange/swap schedule
+#: of Fig. 2 (stage counters, buffer-select state, handshake with the
+#: exchange engines).
+STAGE_SEQUENCER = rc.ResourceEstimate(alms=1_500, registers=256)
+
 
 @dataclass
 class PECounters:
@@ -122,10 +127,6 @@ class ProcessingElement:
             banks = 16 * len(buffer)
             network = rc.mux(64, banks).scale(8 * 2)
             memory = memory + rc.with_overhead(network)
-        # Per-node stage sequencer: drives the compute/exchange/swap
-        # schedule of Fig. 2 (stage counters, buffer-select state,
-        # handshake with the exchange engines).
-        sequencer = rc.ResourceEstimate(alms=1_500, registers=256)
         return {
             "fft64_unit": self.fft_unit.resources(),
             "twiddle_multipliers": ModularMultiplier.resources().scale(
@@ -133,7 +134,7 @@ class ProcessingElement:
             ),
             "banked_memory": memory,
             "data_route": self.data_route.resources(),
-            "stage_sequencer": sequencer,
+            "stage_sequencer": STAGE_SEQUENCER,
             "hypercube_links": HypercubeTopology.link_resources().scale(
                 max(1, hypercube_dimension)
             ),

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.hw.reports import proposed_fft_census
 from repro.hw.resources import ResourceEstimate
-from repro.hw.timing import PAPER_TIMING, AcceleratorTiming
+from repro.hw.timing import PAPER_TIMING, PUBLISHED_RESULTS, AcceleratorTiming
 
 #: Dynamic power per resource at 200 MHz, 12.5% toggle rate (µW each).
 UW_PER_ALM = 6.0
@@ -118,17 +118,12 @@ def energy_comparison(
             power_w=ours.total_w,
         )
     ]
-    published_mult = {
-        "wang_gpu[26]": 765.0,
-        "wang_gpu[27]": 583.0,
-        "wang_vlsi_asic[30]": 206.0,
-    }
-    for name, mult_us in published_mult.items():
+    for name, power_w in PUBLISHED_POWER_W.items():
         rows.append(
             EnergyRow(
                 design=name,
-                mult_us=mult_us,
-                power_w=PUBLISHED_POWER_W[name],
+                mult_us=PUBLISHED_RESULTS[name]["mult_us"],
+                power_w=power_w,
             )
         )
     return rows

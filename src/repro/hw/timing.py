@@ -1,4 +1,4 @@
-"""Analytic performance model (paper Section V formulas, generalized).
+"""Closed-form performance model (paper Section V formulas, generalized).
 
 The paper derives its headline numbers at T_C = 5 ns (200 MHz) and
 P = 4 processing elements::
@@ -8,131 +8,126 @@ P = 4 processing elements::
     T_CARRY   ≈ 20 µs
     T_MULT    = 3·T_FFT + T_DOTPROD + T_CARRY                 ≈ 122 µs
 
-:class:`AcceleratorTiming` reproduces these as the special case of a
-general model parameterized by the transform shape, PE count, clock and
-multiplier/adder provisioning — so the same class also yields the [28]
-baseline column of Table II (a single engine, i.e. P = 1, with its
-dot-product provisioning) and the PE-scaling sweep of the benchmarks.
+:class:`AcceleratorTiming` is the closed-form view of one
+:class:`~repro.arch.spec.ArchSpec` over a transform shape: every term is
+the spec's own per-component formula — ``stage_compute_cycles`` per
+stage, ``dot_product_cycles`` and ``carry_recovery_cycles`` — summed.
+Like the paper's T_DOTPROD it leaves out the dot-product bank's
+pipeline fill (:attr:`~repro.arch.spec.ArchSpec.dot_product_fill_cycles`),
+so Table II reads 24,576 cycles per multiplication at the paper point,
+where the hw-model report, which adds the fill, reads 24,580.  The
+[28] baseline column of Table II is the same view of a one-engine spec
+(:data:`BASELINE_ARCH`), and the PE-scaling sweep of the benchmarks is
+the view of each PE-count variant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
+from repro.arch.spec import ArchSpec
 from repro.ntt.plan import PAPER_RADICES
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.arch.spec import ArchSpec
-
-#: Output points per cycle of one FFT unit (eight shared reductors).
-POINTS_PER_CYCLE = 8
-#: Dot-product modular multipliers provisioned from leftover DSPs
-#: ("the remaining resources can accommodate at least 32 additional
-#: modular multipliers", Section V).
-DOT_PRODUCT_MULTIPLIERS = 32
-#: Carry-recovery adder streaming width (16 words/cycle gives the
-#: paper's ≈20 µs over 64K digits at 5 ns).
-CARRY_RECOVERY_WORDS_PER_CYCLE = 16
 #: Transforms per SSA multiplication: two forward plus one inverse.
 TRANSFORMS_PER_MULTIPLY = 3
 
 
+def multiplication_cycles(arch: ArchSpec, fft_cycles: int, points: int) -> int:
+    """T_MULT: three transforms of ``fft_cycles`` each, then the dot
+    product (without its pipeline fill) and carry recovery over
+    ``points``."""
+    return (
+        TRANSFORMS_PER_MULTIPLY * fft_cycles
+        + arch.dot_product_cycles(points)
+        + arch.carry_recovery_cycles(points)
+    )
+
+
 @dataclass(frozen=True)
 class AcceleratorTiming:
-    """Closed-form timing of one accelerator configuration.
+    """Closed-form timing of one architecture over one transform shape.
 
     Only the transform's shape enters the formulas — stage ``i`` of any
-    plan runs ``n / R_i`` radix-``R_i`` sub-transforms — so the model
+    plan runs ``n / R_i`` radix-``R_i`` sub-transforms — so the view
     keeps the radices (the paper's 64K shape by default) and never
     builds a plan.
+
+    ``pes``, ``clock_ns`` and ``dot_product_multipliers`` are
+    construction shorthands: without ``arch`` they replace those fields
+    of the paper spec (:meth:`ArchSpec.paper_variant`); with ``arch``
+    they are ignored.  The machine is always :attr:`arch`.
     """
 
-    pes: int = 4
-    clock_ns: float = 5.0
+    arch: Optional[ArchSpec] = None
     radices: Tuple[int, ...] = PAPER_RADICES
-    dot_product_multipliers: int = DOT_PRODUCT_MULTIPLIERS
-    carry_words_per_cycle: int = CARRY_RECOVERY_WORDS_PER_CYCLE
-    #: When set, FFT occupancy comes from the spec (FFT units per PE,
-    #: buffer port widths); the closed-form dot/carry formulas read the
-    #: matching scalar fields, which :meth:`for_arch` copies from it.
-    arch: Optional["ArchSpec"] = None
+    pes: Optional[int] = field(default=None, compare=False, repr=False)
+    clock_ns: Optional[float] = field(default=None, compare=False, repr=False)
+    dot_product_multipliers: Optional[int] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.arch is None:
+            arch = ArchSpec.paper_variant(
+                pes=self.pes,
+                clock_ns=self.clock_ns,
+                dot_product_multipliers=self.dot_product_multipliers,
+            )
+            object.__setattr__(self, "arch", arch)
 
     @property
     def n(self) -> int:
         """Transform size: the product of the radices."""
         return math.prod(self.radices)
 
-    @classmethod
-    def for_arch(cls, arch: "ArchSpec") -> "AcceleratorTiming":
-        """The closed-form model of one declarative configuration."""
-        return cls(
-            pes=arch.pes,
-            clock_ns=arch.clock_ns,
-            dot_product_multipliers=arch.dot_product_multipliers,
-            carry_words_per_cycle=arch.carry_words_per_cycle,
-            arch=arch,
-        )
+    def _us(self, cycles: int) -> float:
+        return cycles * self.arch.clock_ns / 1000.0
 
     # -- FFT ---------------------------------------------------------------
 
     def fft_stage_cycles(self) -> List[Tuple[int, int]]:
-        """Per stage: (radix, cycles per PE).
-
-        A radix-R sub-transform occupies the unit for R/8 cycles; each
-        PE executes its 1/P share back-to-back (divided over the FFT
-        units when an :class:`ArchSpec` provisions more than one).
-        """
-        out = []
-        for radix in self.radices:
-            count = self.n // radix
-            if self.arch is not None:
-                out.append(
-                    (radix, self.arch.stage_compute_cycles(count, radix))
-                )
-                continue
-            interval = max(1, radix // POINTS_PER_CYCLE)
-            out.append((radix, (count // self.pes) * interval))
-        return out
+        """Per stage: (radix, cycles per PE) — the PE's share of the
+        stage's ``n / R`` sub-transforms through its FFT units."""
+        return [
+            (radix, self.arch.stage_compute_cycles(self.n // radix, radix))
+            for radix in self.radices
+        ]
 
     def fft_cycles(self) -> int:
         return sum(cycles for _, cycles in self.fft_stage_cycles())
 
     def fft_time_us(self) -> float:
         """The T_FFT formula (30.72 µs at the paper operating point)."""
-        return self.fft_cycles() * self.clock_ns / 1000.0
+        return self._us(self.fft_cycles())
 
     # -- dot product ---------------------------------------------------------
 
     def dot_product_cycles(self) -> int:
-        return -(-self.n // self.dot_product_multipliers)
+        return self.arch.dot_product_cycles(self.n)
 
     def dot_product_time_us(self) -> float:
         """T_DOTPROD (10.24 µs at the paper operating point)."""
-        return self.dot_product_cycles() * self.clock_ns / 1000.0
+        return self._us(self.dot_product_cycles())
 
     # -- carry recovery -------------------------------------------------------
 
     def carry_recovery_cycles(self) -> int:
-        return -(-self.n // self.carry_words_per_cycle)
+        return self.arch.carry_recovery_cycles(self.n)
 
     def carry_recovery_time_us(self) -> float:
         """T_CARRY (≈20.5 µs at the paper operating point)."""
-        return self.carry_recovery_cycles() * self.clock_ns / 1000.0
+        return self._us(self.carry_recovery_cycles())
 
     # -- full multiplication ---------------------------------------------------
 
     def multiplication_cycles(self) -> int:
-        return (
-            TRANSFORMS_PER_MULTIPLY * self.fft_cycles()
-            + self.dot_product_cycles()
-            + self.carry_recovery_cycles()
-        )
+        return multiplication_cycles(self.arch, self.fft_cycles(), self.n)
 
     def multiplication_time_us(self) -> float:
         """T_MULT (≈122.9 µs at the paper operating point)."""
-        return self.multiplication_cycles() * self.clock_ns / 1000.0
+        return self._us(self.multiplication_cycles())
 
     def phase_breakdown_us(self) -> Dict[str, float]:
         return {
@@ -145,11 +140,16 @@ class AcceleratorTiming:
 #: The paper's configuration (P = 4, 200 MHz, 64K plan).
 PAPER_TIMING = AcceleratorTiming()
 
-#: The [28] baseline modeled on the same formulas: one engine (P = 1)
+#: The [28] baseline machine on the same formulas: one engine (P = 1)
 #: with the leftover-DSP dot-product provisioning implied by its 720
-#: DSP budget.  Yields 122.88·4 ≈ 125 µs per FFT and ≈ 405 µs per
+#: DSP budget.
+BASELINE_ARCH = ArchSpec(
+    name="wang-huang-fpga28", pes=1, dot_product_multipliers=26
+)
+
+#: Its closed form: 122.88·4 ≈ 125 µs per FFT and ≈ 405 µs per
 #: multiplication — the Table II reference column.
-BASELINE_TIMING = AcceleratorTiming(pes=1, dot_product_multipliers=26)
+BASELINE_TIMING = AcceleratorTiming(BASELINE_ARCH)
 
 
 #: Published execution times the paper compares against (Table II).

@@ -234,12 +234,12 @@ class TestGoldenBitIdentity:
     def test_for_arch_matches_scalar_timing(self):
         spec = ArchSpec.paper_default()
         assert (
-            AcceleratorTiming.for_arch(spec).multiplication_cycles()
+            AcceleratorTiming(spec).multiplication_cycles()
             == AcceleratorTiming().multiplication_cycles()
         )
         p8 = spec.with_overrides(pes=8, name="p8")
         assert (
-            AcceleratorTiming.for_arch(p8).fft_cycles()
+            AcceleratorTiming(p8).fft_cycles()
             == AcceleratorTiming(pes=8).fft_cycles()
         )
 
@@ -420,25 +420,6 @@ class TestExploration:
 
 
 class TestEngineWiring:
-    def test_config_arch_overrides_scalars(self):
-        from repro.engine import ExecutionConfig
-
-        spec = ArchSpec.paper_default().with_overrides(
-            pes=8, name="p8"
-        )
-        config = ExecutionConfig(arch=spec, pes=2, clock_ns=3.0)
-        assert config.pes == 8
-        assert config.clock_ns == 5.0
-        assert config.resolved_arch() == spec
-
-    def test_config_scalars_build_a_spec(self):
-        from repro.engine import ExecutionConfig
-
-        config = ExecutionConfig(pes=8)
-        spec = config.resolved_arch()
-        assert spec.pes == 8
-        assert spec.exchange.topology == "hypercube"
-
     def test_engine_uses_the_spec(self):
         from repro.engine import Engine, ExecutionConfig
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import native
+from repro.arch import ArchSpec
 from repro.engine import (
     Engine,
     ExecutionConfig,
@@ -46,7 +47,7 @@ class TestExecutionConfig:
     def test_defaults(self):
         config = ExecutionConfig.default()
         assert config.cache == "private"
-        assert config.pes == 4
+        assert config.arch.pes == 4
         # The host, not the config, picks the stage kernel.
         assert Engine(config=config).plan(64).kernel == (
             KERNEL_COMPILED if native.available() else KERNEL_LIMB_MATMUL
@@ -57,7 +58,6 @@ class TestExecutionConfig:
         [
             {"max_respawns": -1},
             {"batch_chunk": 0},
-            {"pes": 3},
             {"fidelity": "exactly"},
             {"cache": "sometimes"},
             {"coefficient_bits": 0},
@@ -71,8 +71,9 @@ class TestExecutionConfig:
         assert ExecutionConfig(cache=True).cache == "private"
         assert ExecutionConfig(cache=False).cache == "off"
         base = ExecutionConfig()
-        assert base.with_overrides(pes=8).pes == 8
-        assert base.pes == 4
+        p8 = ArchSpec.paper_variant(pes=8)
+        assert base.with_overrides(arch=p8).arch.pes == 8
+        assert base.arch.pes == 4
 
     def test_hashable_and_comparable(self):
         one = ExecutionConfig(batch_chunk=8, workers=2)
@@ -86,7 +87,9 @@ class TestExecutionConfig:
     def test_pickle_round_trip_stable(self):
         import pickle
 
-        config = ExecutionConfig(batch_chunk=16, pes=8, workers=2)
+        config = ExecutionConfig(
+            batch_chunk=16, arch=ArchSpec.paper_variant(pes=8), workers=2
+        )
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert hash(clone) == hash(config)

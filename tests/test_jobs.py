@@ -588,6 +588,20 @@ class TestJobTypes:
             job.run(Engine())
         ) == [encoded]
 
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_rows_keep_ints_past_int64_exactly(self, flat):
+        """A row mixing a value in ``[2^63, 2^64)`` with small ones is
+        held exactly, not rounded through float64."""
+        big = 2**63 + 5
+        row = [big] + list(range(1, 8))
+        rows = row if flat else [row]
+        job = RingTransformJob(n=8, values=rows)
+        conv = ConvolveJob(n=8, a=rows, b=[1] * 8)
+        assert job.flat == conv.flat == flat
+        assert int(job.values[0, 0]) == big
+        assert int(conv.a[0, 0]) == big
+        assert job.values[0].tolist() == row
+
     def test_rlwe_multiply_keeps_only_relin_keys(self):
         from repro.fhe.rlwe import RelinKeys
 
