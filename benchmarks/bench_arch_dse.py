@@ -16,8 +16,8 @@ Standalone benchmark (also importable under pytest) driving the
   reported at the paper point (exchanges fully hidden — 0% headroom)
   and at 16 PEs where the exchange becomes the bottleneck and the
   overlap recovers ~23% of the serial schedule;
-- **determinism**: the sweep runs twice (jobs-parallel and inline) and
-  the two reports must be byte-identical.
+- **determinism**: the sweep runs twice and the two reports must be
+  byte-identical.
 
 Results go to two places:
 
@@ -105,7 +105,7 @@ def evaluate(report: dict) -> List[str]:
         )
     if not report["determinism"]["runs_identical"]:
         failures.append(
-            "jobs-parallel and inline sweeps produced different reports"
+            "two sweeps of the same space produced different reports"
         )
     return failures
 
@@ -115,9 +115,9 @@ def run_suite(smoke: bool) -> "tuple[dict, ExplorationResult]":
     max_candidates = SMOKE_MAX_CANDIDATES if smoke else 512
     space = DesignSpace(max_candidates=max_candidates)
     start = time.perf_counter()
-    first = explore(space, use_jobs=not smoke)
+    first = explore(space)
     sweep_s = time.perf_counter() - start
-    second = explore(space, use_jobs=False)
+    second = explore(space)
     runs_identical = first.to_json() == second.to_json()
 
     overlap = [overlap_case(4, 8)]
@@ -138,7 +138,6 @@ def run_suite(smoke: bool) -> "tuple[dict, ExplorationResult]":
         "config": {
             "max_candidates": max_candidates,
             "workloads": [w.name for w in DEFAULT_WORKLOADS],
-            "first_run_used_jobs": not smoke,
             "sweep_seconds": sweep_s,
         },
         "results": first.to_dict(),
@@ -177,7 +176,7 @@ def render_table(report: dict, result: ExplorationResult) -> str:
     )
     lines.append("")
     lines.append(
-        "determinism: jobs vs inline sweeps "
+        "determinism: two sweeps "
         + (
             "byte-identical"
             if report["determinism"]["runs_identical"]

@@ -52,7 +52,7 @@ def main() -> None:
     # A trimmed space keeps the example quick; the full default space
     # (144 candidates) is what `repro arch sweep` runs.
     space = DesignSpace(max_candidates=48)
-    result = explore(space, use_jobs=False)
+    result = explore(space)
     print(result.render(limit=8))
 
     dominating = result.dominating_paper()

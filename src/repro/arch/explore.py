@@ -11,10 +11,8 @@ two workloads — the paper's 64K SSA multiplication batch and an RLWE
 ring-multiply batch — and the survivors are pruned to the Pareto
 frontier of total cycles versus the spec's resource-census area proxy.
 
-Evaluation runs through the :class:`repro.engine.jobs.JobScheduler`
-(chunked sweep jobs over one engine), making the explorer a real
-workload for the fault-tolerant runtime as well as a user-facing tool
-(``repro arch sweep``).
+Candidates are evaluated in order on the calling thread;
+``repro arch sweep`` is the command-line face.
 
 Everything is deterministic: enumeration order is fixed, evaluation is
 pure arithmetic, and two runs of :func:`explore` produce byte-identical
@@ -24,7 +22,7 @@ frontiers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.spec import (
@@ -302,21 +300,6 @@ def pareto_frontier(
     return out
 
 
-@dataclass(frozen=True)
-class _SweepJob:
-    """One chunk of candidate evaluations for the job scheduler."""
-
-    points: Tuple[DesignPoint, ...]
-    workloads: Tuple[Workload, ...]
-    kind: str = "arch-sweep"
-
-    def run(self, engine) -> List[Optional[CandidateMetrics]]:
-        return [
-            evaluate_candidate(point, self.workloads)
-            for point in self.points
-        ]
-
-
 @dataclass
 class ExplorationResult:
     """Everything one :func:`explore` run produced."""
@@ -418,39 +401,14 @@ def paper_point() -> DesignPoint:
 def explore(
     space: Optional[DesignSpace] = None,
     workloads: Sequence[Workload] = DEFAULT_WORKLOADS,
-    use_jobs: bool = True,
-    chunk: int = 16,
 ) -> ExplorationResult:
-    """Enumerate, evaluate and prune the design space.
-
-    With ``use_jobs`` (the default) candidate chunks are submitted as
-    :class:`_SweepJob` payloads to a private
-    :class:`~repro.engine.jobs.JobScheduler`, exercising the
-    fault-tolerant runtime; ``use_jobs=False`` evaluates inline (same
-    results — evaluation is pure).
-    """
+    """Enumerate, evaluate and prune the design space, in order."""
     space = space if space is not None else DesignSpace()
     workloads = tuple(workloads)
-    points = enumerate_candidates(space)
-    results: List[Optional[CandidateMetrics]] = []
-    if use_jobs and points:
-        from repro.engine.jobs import JobScheduler
-
-        chunks = [
-            tuple(points[i : i + chunk])
-            for i in range(0, len(points), chunk)
-        ]
-        with JobScheduler() as scheduler:
-            handles = [
-                scheduler.submit(_SweepJob(part, workloads))
-                for part in chunks
-            ]
-            for handle in handles:
-                results.extend(handle.result())
-    else:
-        results = [
-            evaluate_candidate(point, workloads) for point in points
-        ]
+    results = [
+        evaluate_candidate(point, workloads)
+        for point in enumerate_candidates(space)
+    ]
     evaluated = [m for m in results if m is not None]
     infeasible = len(results) - len(evaluated)
     paper = evaluate_candidate(paper_point(), workloads)

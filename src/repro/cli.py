@@ -31,10 +31,10 @@ import sys
 from typing import List, Optional
 
 
-def _engine(args: argparse.Namespace, backend: str = "software"):
-    """Build the Engine the command flags describe."""
+def _config(args: argparse.Namespace, backend: str = "software"):
+    """The ``(ExecutionConfig, backend name)`` the command flags describe."""
     from repro.arch import ArchSpec
-    from repro.engine import Engine, ExecutionConfig
+    from repro.engine import ExecutionConfig
 
     pes = getattr(args, "pes", None)
     overrides = {"arch": ArchSpec.paper_variant(pes=pes)}
@@ -45,7 +45,15 @@ def _engine(args: argparse.Namespace, backend: str = "software"):
         # (workers=1 included: the user asked for the mp path).
         if backend == "software":
             backend = "software-mp"
-    return Engine(config=ExecutionConfig(**overrides), backend=backend)
+    return ExecutionConfig(**overrides), backend
+
+
+def _engine(args: argparse.Namespace, backend: str = "software"):
+    """Build the Engine the command flags describe."""
+    from repro.engine import Engine
+
+    config, backend = _config(args, backend)
+    return Engine(config=config, backend=backend)
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -190,15 +198,9 @@ def _cmd_throughput(args: argparse.Namespace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
-    from repro.engine import ExecutionConfig
     from repro.serve import ServiceConfig, run_server
 
-    backend = args.backend or "software"
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-        if backend == "software":
-            backend = "software-mp"
+    engine_config, backend = _config(args, args.backend or "software")
     try:
         config = ServiceConfig(
             # A lone --max-queue below the per-tenant default just
@@ -220,7 +222,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         )
 
     run_server(
-        ExecutionConfig(**overrides),
+        engine_config,
         backend=backend,
         host=args.host,
         port=args.port,
@@ -302,7 +304,7 @@ def _cmd_arch_sweep(args: argparse.Namespace) -> None:
     from repro.arch import DesignSpace, explore, plot_frontier
 
     space = DesignSpace(max_candidates=args.max_candidates)
-    result = explore(space=space, use_jobs=not args.no_jobs)
+    result = explore(space=space)
     print(result.render(limit=args.limit))
     if args.pareto is not None:
         with open(args.pareto, "w", encoding="utf-8") as handle:
@@ -576,11 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=12,
         help="frontier rows to print",
-    )
-    asweep.add_argument(
-        "--no-jobs",
-        action="store_true",
-        help="evaluate inline instead of through the job scheduler",
     )
     asweep.set_defaults(func=_cmd_arch_sweep)
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -51,14 +52,6 @@ from repro.ssa.multiplier import SSAMultiplier
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.core import Engine
-
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 SOFTWARE = "software"
@@ -238,17 +231,12 @@ class SoftwareMPBackend(SoftwareBackend):
     #: Hard ceiling on one probe answer (covers ``spawn`` cold starts).
     probe_timeout_s = 60.0
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, start_method: Optional[str] = None):
         import itertools
         import threading
 
         from repro.engine.resilience import FaultReport
 
-        self._workers_override = workers
         self._start_method = start_method
         self._pool = None
         self._pool_key: Optional[Tuple[ExecutionConfig, int]] = None
@@ -270,9 +258,7 @@ class SoftwareMPBackend(SoftwareBackend):
     # -- pool management ---------------------------------------------------
 
     def workers(self, engine: "Engine") -> int:
-        """Resolved worker count: override > config.workers > cpu_count."""
-        if self._workers_override is not None:
-            return self._workers_override
+        """Resolved worker count: ``config.workers``, else one per CPU."""
         if engine.config.workers is not None:
             return engine.config.workers
         return os.cpu_count() or 1

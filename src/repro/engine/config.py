@@ -37,8 +37,7 @@ class ExecutionConfig:
         its own :class:`repro.ntt.plan.PlanCache`; ``"shared"`` uses the
         process-wide default cache (what the legacy module-level API
         uses, so plans are shared with it); ``"off"`` rebuilds plans on
-        every request.  ``True`` / ``False`` are accepted as aliases
-        for ``"private"`` / ``"off"``.
+        every request.
     arch:
         The machine the ``hw-model`` backend models: one declarative
         :class:`repro.arch.spec.ArchSpec` (PE count, clock, per-PE
@@ -51,9 +50,6 @@ class ExecutionConfig:
         staged executor) or ``"datapath"`` (every beat through the
         banked memories and the shift-only FFT-64 unit); both report
         the same analytic cycle schedule.
-    coefficient_bits:
-        SSA digit width used when the engine sizes a multiplier from an
-        operand bit length (the paper uses 24).
     workers:
         Worker-process count for the ``software-mp`` backend (the
         batch-axis sharding pool).  ``None`` asks for one worker per
@@ -80,43 +76,28 @@ class ExecutionConfig:
     """
 
     batch_chunk: Optional[int] = None
-    cache: object = CACHE_PRIVATE
+    cache: str = CACHE_PRIVATE
     arch: ArchSpec = field(default_factory=ArchSpec.paper_default)
     fidelity: str = "fast"
-    coefficient_bits: int = 24
     workers: Optional[int] = None
     max_respawns: int = 2
     verify_shards: bool = False
 
     def __post_init__(self) -> None:
-        cache = self.cache
-        if cache is True:
-            cache = CACHE_PRIVATE
-        elif cache is False:
-            cache = CACHE_OFF
-        if cache not in _CACHE_MODES:
+        if self.cache not in _CACHE_MODES:
             raise ValueError(
-                f"cache must be one of {_CACHE_MODES} (or True/False), "
-                f"got {self.cache!r}"
+                f"cache must be one of {_CACHE_MODES}, got {self.cache!r}"
             )
-        object.__setattr__(self, "cache", cache)
         if self.batch_chunk is not None and self.batch_chunk < 1:
             raise ValueError("batch_chunk must be a positive integer")
         if self.fidelity not in ("fast", "datapath"):
             raise ValueError(
                 f"fidelity must be 'fast' or 'datapath', got {self.fidelity!r}"
             )
-        if self.coefficient_bits < 1:
-            raise ValueError("coefficient_bits must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be a positive integer or None")
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
-
-    @classmethod
-    def default(cls, **overrides: object) -> "ExecutionConfig":
-        """The stock configuration; ``ExecutionConfig(**overrides)``."""
-        return cls(**overrides)  # type: ignore[arg-type]
 
     def with_overrides(self, **overrides: object) -> "ExecutionConfig":
         """A copy with the given fields replaced (validation re-run)."""

@@ -55,7 +55,7 @@ from repro.ntt.plan import (
     TransformPlan,
     decimated_companion,
 )
-from repro.ssa.encode import SSAParameters, params_for_bits
+from repro.ssa.encode import PAPER_PARAMETERS, SSAParameters, params_for_bits
 from repro.ssa.multiplier import SSAMultiplier
 
 
@@ -66,7 +66,7 @@ class Engine:
     ----------
     config:
         An :class:`~repro.engine.config.ExecutionConfig`; defaults to
-        ``ExecutionConfig.default()``.
+        ``ExecutionConfig()``.
     backend:
         A registered backend name (``"software"``, ``"hw-model"``) or a
         ready :class:`~repro.engine.backends.ComputeBackend` instance.
@@ -169,8 +169,9 @@ class Engine:
     ) -> SSAMultiplier:
         """A pooled :class:`SSAMultiplier` for the given sizing.
 
-        Exactly one of ``bits`` (operand bit length, rounded up to the
-        next power-of-two coefficient count) or ``params`` (explicit
+        Exactly one of ``bits`` (operand bit length, cut into the
+        paper's 24-bit digits and rounded up to the next power-of-two
+        coefficient count) or ``params`` (explicit
         :class:`~repro.ssa.SSAParameters`) must be given.  The
         multiplier's plan comes from the engine's cache.
         """
@@ -182,7 +183,6 @@ class Engine:
             # hw-model's shift-only FFT unit starts at radix 8).
             params = params_for_bits(
                 bits,
-                self.config.coefficient_bits,
                 min_coefficients=getattr(
                     self.backend, "min_transform_size", 2
                 )
@@ -402,7 +402,7 @@ class Engine:
     def _params_for_plan(self, plan: TransformPlan) -> SSAParameters:
         """SSA sizing matching ``plan`` (for accelerator construction)."""
         return SSAParameters(
-            coefficient_bits=self.config.coefficient_bits,
+            coefficient_bits=PAPER_PARAMETERS.coefficient_bits,
             operand_coefficients=plan.n // 2,
         )
 

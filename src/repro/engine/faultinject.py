@@ -17,12 +17,10 @@ shard's task payload, so it behaves identically under ``fork`` and
 consumed in the parent the moment its shard is submitted, so the
 replayed shard runs clean.
 
-Activation, in precedence order:
-
-1. programmatic — ``with faultinject.inject("worker-kill:0"): ...`` or
-   :func:`activate` / :func:`deactivate` with a :class:`FaultPlan`;
-2. the ``REPRO_FAULTS`` environment variable (read once, at the first
-   injection query), for CLI/CI smoke runs.
+Activation is programmatic only — ``with faultinject.inject("worker-kill:0"):
+...`` or :func:`activate` / :func:`deactivate` with a :class:`FaultPlan`;
+``repro throughput --inject`` goes through :func:`inject` too.  Nothing
+reads the environment, so no inherited setting can arm a fault.
 
 Spec grammar (comma-separated clauses)::
 
@@ -39,14 +37,10 @@ force graceful degradation.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Union
-
-#: Environment hook for CLI/CI smoke runs (read once, lazily).
-FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 #: Directives understood by the worker side
 #: (:func:`repro.engine.mp.apply_inject`).
@@ -135,37 +129,28 @@ def parse_spec(spec: str) -> FaultPlan:
 
 _LOCK = threading.Lock()
 _ACTIVE: Optional[FaultPlan] = None
-_ENV_CHECKED = False
 
 
 def activate(plan: Union[FaultPlan, str]) -> FaultPlan:
     """Arm ``plan`` (or a spec string) as the active fault plan."""
-    global _ACTIVE, _ENV_CHECKED
+    global _ACTIVE
     if isinstance(plan, str):
         plan = parse_spec(plan)
     with _LOCK:
         _ACTIVE = plan
-        _ENV_CHECKED = True  # explicit activation overrides the env
     return plan
 
 
 def deactivate() -> None:
     """Disarm every injection point."""
-    global _ACTIVE, _ENV_CHECKED
+    global _ACTIVE
     with _LOCK:
         _ACTIVE = None
-        _ENV_CHECKED = True
 
 
 def active_plan() -> Optional[FaultPlan]:
-    """The active plan, arming ``REPRO_FAULTS`` lazily on first query."""
-    global _ACTIVE, _ENV_CHECKED
+    """The armed plan, or ``None``."""
     with _LOCK:
-        if not _ENV_CHECKED:
-            _ENV_CHECKED = True
-            spec = os.environ.get(FAULTS_ENV_VAR, "").strip()
-            if spec:
-                _ACTIVE = parse_spec(spec)
         return _ACTIVE
 
 
@@ -221,7 +206,6 @@ def corrupt_result(result):
 
 
 __all__ = [
-    "FAULTS_ENV_VAR",
     "FaultPlan",
     "parse_spec",
     "activate",

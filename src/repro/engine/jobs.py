@@ -798,30 +798,6 @@ def as_completed(
 
 # -- the scheduler ---------------------------------------------------------
 
-#: ``map(op, ...)`` kinds → chunk-of-items → job factories.  ``items``
-#: is the chunk (a list); extra ``map`` kwargs are forwarded.
-_MAP_FACTORIES: dict = {
-    "multiply": lambda items, **kw: MultiplyJob.batched(items),
-    "dghv-mult": lambda items, **kw: DGHVMultJob(
-        pairs=tuple(items), x0=kw.get("x0")
-    ),
-    "ring-forward": lambda items, **kw: RingTransformJob(
-        n=kw["n"],
-        values=np.vstack(items),
-        inverse=False,
-        negacyclic=kw.get("negacyclic", False),
-        radices=kw.get("radices"),
-    ),
-    "ring-inverse": lambda items, **kw: RingTransformJob(
-        n=kw["n"],
-        values=np.vstack(items),
-        inverse=True,
-        negacyclic=kw.get("negacyclic", False),
-        radices=kw.get("radices"),
-    ),
-}
-
-
 class JobScheduler:
     """Futures-style submission queue over one engine.
 
@@ -1140,32 +1116,36 @@ class JobScheduler:
     ) -> List[JobHandle]:
         """Split ``items`` into chunk jobs; return one handle per chunk.
 
-        ``op`` is a registered kind (``"multiply"``, ``"dghv-mult"``,
-        ``"ring-forward"``, ``"ring-inverse"`` — extra kwargs such as
-        ``n=`` or ``x0=`` are forwarded to the job) or any callable
-        taking a chunk (list of items) and returning a job.  Chunks
-        preserve item order; ``chunk=None`` uses
+        ``op`` is an op name of :data:`JOB_TYPES` — each chunk fills
+        the type's first batch field (``pairs``, ``values``, ``a`` or
+        ``ciphertexts``) and extra kwargs (``n=``, ``inverse=``,
+        ``x0=``, ``params=``, ``relin=`` …) go to the job, whose own
+        validation rejects a mismatch — or any callable taking a chunk
+        (list of items) plus the extra kwargs and returning a job.
+        Chunks preserve item order; ``chunk=None`` uses
         :meth:`default_chunk`.
         """
         if isinstance(op, str):
-            try:
-                factory = _MAP_FACTORIES[op]
-            except KeyError:
+            job_type = JOB_TYPES.get(op)
+            if job_type is None:
                 raise ValueError(
                     f"unknown map op {op!r}; expected one of "
-                    f"{sorted(_MAP_FACTORIES)} or a callable"
-                ) from None
+                    f"{sorted(JOB_TYPES)} or a callable"
+                )
+            batch_field = job_type.batch_fields[0]
+
+            def make_job(chunk_items: list, **kw) -> Job:
+                return job_type(**{batch_field: chunk_items}, **kw)
+
         else:
-            # Extra kwargs are forwarded so a callable op is not a
-            # silent kwargs sink (a callable that takes none raises).
-            factory = lambda chunk_items, **kw: op(chunk_items, **kw)  # noqa: E731
+            make_job = op
         items = list(items)
         if chunk is None:
             chunk = self.default_chunk(len(items))
         if chunk < 1:
             raise ValueError("chunk must be a positive integer")
         return [
-            self.submit(factory(items[start : start + chunk], **op_kwargs))
+            self.submit(make_job(items[start : start + chunk], **op_kwargs))
             for start in range(0, len(items), chunk)
         ]
 

@@ -135,7 +135,9 @@ class ProcessingElement:
             "banked_memory": memory,
             "data_route": self.data_route.resources(),
             "stage_sequencer": STAGE_SEQUENCER,
+            # One link endpoint per hypercube dimension: a lone PE
+            # (dimension 0) has no neighbour and books none.
             "hypercube_links": HypercubeTopology.link_resources().scale(
-                max(1, hypercube_dimension)
+                hypercube_dimension
             ),
         }

@@ -395,7 +395,7 @@ class TestExploration:
             topologies=("hypercube",),
             radix_plans_64k=((64, 64, 16),),
         )
-        result = explore(space=space, use_jobs=False)
+        result = explore(space=space)
         assert result.evaluated
         assert result.frontier
         # The paper point is evaluated even when outside the space.
@@ -414,8 +414,8 @@ class TestExploration:
             topologies=("hypercube", "ring"),
             radix_plans_64k=((64, 64, 16),),
         )
-        first = explore(space=space, use_jobs=False)
-        second = explore(space=space, use_jobs=True)
+        first = explore(space=space)
+        second = explore(space=space)
         assert first.to_json() == second.to_json()
 
 

@@ -102,7 +102,6 @@ class TestArchCLI:
                     "sweep",
                     "--max-candidates",
                     "24",
-                    "--no-jobs",
                     "--pareto",
                     str(out_path),
                 ]

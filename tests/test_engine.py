@@ -45,7 +45,7 @@ def _rows(rng, batch, n):
 
 class TestExecutionConfig:
     def test_defaults(self):
-        config = ExecutionConfig.default()
+        config = ExecutionConfig()
         assert config.cache == "private"
         assert config.arch.pes == 4
         # The host, not the config, picks the stage kernel.
@@ -60,7 +60,6 @@ class TestExecutionConfig:
             {"batch_chunk": 0},
             {"fidelity": "exactly"},
             {"cache": "sometimes"},
-            {"coefficient_bits": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -68,8 +67,6 @@ class TestExecutionConfig:
             ExecutionConfig(**kwargs)
 
     def test_cache_aliases_and_overrides(self):
-        assert ExecutionConfig(cache=True).cache == "private"
-        assert ExecutionConfig(cache=False).cache == "off"
         base = ExecutionConfig()
         p8 = ArchSpec.paper_variant(pes=8)
         assert base.with_overrides(arch=p8).arch.pes == 8

@@ -27,10 +27,11 @@ from repro.ntt.plan import paper_64k_plan, plan_for_size
 from repro.sim.kernel import Simulator
 
 
-def test_paper_spec_census_matches_table1():
+@pytest.mark.parametrize("pes", [1, 2, 4, 8, 16])
+def test_paper_spec_census_matches_table1(pes):
     """The spec's PE census and Table I's census count the same
-    hardware, M20K blocks included."""
-    spec = ArchSpec.paper_default()
+    hardware, M20K blocks included; a lone PE books no link."""
+    spec = ArchSpec.paper_variant(pes=pes)
     ours = dataclasses.asdict(spec.resource_census()["pes"])
     table1 = dataclasses.asdict(proposed_fft_census(spec.pes).total)
     assert ours == pytest.approx(table1)

@@ -20,7 +20,6 @@ from repro.engine import (
     ExecutionConfig,
     available_backends,
 )
-from repro.engine.backends import SoftwareMPBackend
 from repro.field.solinas import P
 from repro.fhe.dghv import DGHV
 from repro.fhe.params import TOY
@@ -317,11 +316,46 @@ class TestMap:
         engine = Engine()
         oracle = engine.ring(64).forward(rows)
         with JobScheduler(engine) as jobs:
-            got = jobs.map("ring-forward", list(rows), chunk=2, n=64)
+            got = jobs.map("ring-transform", list(rows), chunk=2, n=64)
             assert isinstance(got, np.ndarray)
             assert np.array_equal(got, oracle)
-            back = jobs.map("ring-inverse", list(got), chunk=4, n=64)
+            back = jobs.map(
+                "ring-transform", list(got), chunk=4, n=64, inverse=True
+            )
             assert np.array_equal(back, rows)
+
+    def test_map_over_a_job_type_forwards_kwargs(self):
+        """A string op names a job type: each chunk fills its first
+        batch field and the kwargs go to the job."""
+        params = RLWEParams(
+            n=64, t=17, noise_bound=4, rns_primes=default_rns_primes(64, 17, 2)
+        )
+        engine = Engine()
+        scheme = engine.fhe(params, rng=random.Random(71))
+        keys = scheme.keygen()
+        rng = random.Random(72)
+        cts = scheme.encrypt_many(
+            keys, [[rng.randrange(17) for _ in range(64)] for _ in range(6)]
+        )
+        pairs = list(zip(cts[::2], cts[1::2]))
+        oracle = scheme.multiply_many(keys, pairs)
+        with JobScheduler(engine) as jobs:
+            got = jobs.map(
+                "rlwe-multiply", pairs, chunk=2, params=params, relin=keys
+            )
+        assert len(got) == len(oracle) == 3
+        for got_ct, want_ct in zip(got, oracle):
+            assert np.array_equal(got_ct.c0, want_ct.c0)
+            assert np.array_equal(got_ct.c1, want_ct.c1)
+
+    def test_map_op_names_are_the_job_types(self):
+        with JobScheduler(Engine()) as jobs:
+            for retired in ("ring-forward", "ring-inverse"):
+                with pytest.raises(ValueError, match="unknown map op"):
+                    jobs.map(retired, [np.zeros(8, np.uint64)], n=8)
+            # a kwarg the job does not take is an error, not ignored
+            with pytest.raises(TypeError):
+                jobs.map("multiply", [(1, 2)], n=8)
 
     def test_as_completed_yields_every_handle(self):
         pairs = _pairs(random.Random(2), 6, bits=128)
@@ -658,8 +692,6 @@ class TestSoftwareMP:
 
     def test_workers_resolution(self, mp_engine):
         assert mp_engine.backend.workers(mp_engine) == 2
-        override = SoftwareMPBackend(workers=3)
-        assert override.workers(mp_engine) == 3
 
     def test_pool_is_persistent_and_closable(self, mp_engine):
         pairs = _pairs(random.Random(37), 4, bits=256)

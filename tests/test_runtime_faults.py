@@ -177,12 +177,6 @@ class TestFaultSpec:
         assert plan.directive_for_shard(0) == "kill"
         assert plan.directive_for_shard(0) == "kill"
 
-    def test_env_activation(self, monkeypatch):
-        monkeypatch.setenv(faultinject.FAULTS_ENV_VAR, "corrupt-shard:3")
-        monkeypatch.setattr(faultinject, "_ACTIVE", None)
-        monkeypatch.setattr(faultinject, "_ENV_CHECKED", False)
-        assert faultinject.should_corrupt(3)
-
 
 class TestFaultReport:
     def test_counts_and_render(self):

@@ -716,6 +716,40 @@ class TestFaultsAndDeadlines:
         finally:
             service.shutdown()
 
+    def test_job_timeout_stops_the_shard_wait(self):
+        """A serve job deadline reaches the ``software-mp`` shard wait:
+        a delayed shard is abandoned at the deadline, not waited out,
+        and the next request runs on a fresh pool."""
+        service = ComputeService(
+            ExecutionConfig(workers=2),
+            backend="software-mp",
+            config=ServiceConfig(job_timeout_s=0.5),
+        )
+        try:
+            client = ServiceClient(service)
+            pairs = [(3 << 64, 5), (7, 11 << 32), (13, 17), (19, 23 << 96)]
+            truth = [a * b for a, b in pairs]
+            backend = service.jobs.engine.backend
+            # Build the pool outside any deadline.
+            assert service.jobs.engine.multiply(
+                [a for a, _ in pairs], [b for _, b in pairs]
+            ) == truth
+            with faultinject.inject("shard-delay:0:3"):
+                start = time.monotonic()
+                response = client.call(MultiplyJob.batched(pairs))
+                elapsed = time.monotonic() - start
+            assert response.status == STATUS_TIMEOUT
+            assert elapsed < 2.5
+            assert any(
+                "[timeout]" in event for event in response.fault_events
+            ), response.fault_events
+            generation = backend.pool_generation
+            again = client.call(MultiplyJob.batched(pairs))
+            assert again.ok and again.result == truth
+            assert backend.pool_generation == generation + 1
+        finally:
+            service.shutdown()
+
     def test_queued_request_times_out_typed(self):
         with _service() as service:
             client = ServiceClient(service)
