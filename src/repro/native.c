@@ -60,7 +60,7 @@ static inline u64 mul_mod(u64 a, u64 b)
 static inline u64 add_mod(u64 a, u64 b)
 {
     u64 gap = P - b;
-    return a >= gap ? a - gap : a + b;
+    return a - gap + (P & MASK(a < gap));
 }
 
 static inline u64 sub_mod(u64 a, u64 b)

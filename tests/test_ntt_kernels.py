@@ -185,6 +185,22 @@ class TestCompiledStage:
             )
             assert np.array_equal(got, want)
 
+    def test_butterfly_add_and_sub_at_the_wrap(self):
+        """A radix-2 stage is one bare butterfly (u + v, u − v): sums
+        u + v of p − 1, p, p + 1 and 2p − 2 straddle the add's single
+        correction, for v in {0, 1, p − 1} and every canonical u."""
+        pairs = [
+            (total - v, v)
+            for v in (0, 1, P - 1)
+            for total in (P - 1, P, P + 1, 2 * P - 2)
+            if 0 <= total - v < P
+        ]
+        u, v = (np.array(side, dtype=np.uint64) for side in zip(*pairs))
+        stage, got = self._run(np.stack([u, v])[None], _dft_matrix_of(2))
+        assert stage.factors is not None
+        assert [int(x) for x in got[0, 0]] == [(a + b) % P for a, b in pairs]
+        assert [int(x) for x in got[0, 1]] == [(a - b) % P for a, b in pairs]
+
     def test_unstructured_matrix_runs_limb_matmul(self):
         """A hand-built spec whose matrix is no scaled DFT does not
         factor, and the compiled executor runs it on limb-matmul; its
