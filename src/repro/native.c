@@ -1,18 +1,21 @@
 /*
  * Compiled GF(p) kernels, p = 2^64 - 2^32 + 1.
  *
- * Two entry points, loaded by repro.native through ctypes:
+ * Three entry points, loaded by repro.native through ctypes:
  *
  *   mul_reduce  elementwise a * b mod p (paper Eq. 4 reduction of the
  *               full 128-bit product);
  *   stage_dft   one plan stage diag(r) . F_R(w) . diag(c) along the
  *               radix axis of a (blocks, radix, tail) array, run as an
- *               in-place radix-2 FFT over precomputed powers of w.
+ *               in-place radix-2 FFT over precomputed powers of w;
+ *   carry_rows  SSA carry recovery: each row of convolution
+ *               coefficients carried into m-bit digits in one
+ *               sequential pass (the paper's carry-recovery adder).
  *
  * The caller validates every pointer, shape and table in Python.  All
- * results are canonical residues; inputs may be any uint64 (they are
- * reduced on load), so the kernels agree bit for bit with the numpy
- * paths on every input.
+ * field results are canonical residues; inputs may be any uint64 (they
+ * are reduced on load), so the kernels agree bit for bit with the
+ * numpy paths on every input.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -195,4 +198,34 @@ int stage_dft(const u64 *x, u64 *out, size_t blocks, size_t radix,
     free(tile);
     free(reversed);
     return 0;
+}
+
+/*
+ * out[b, :] = the m-bit digits of sum_j in[b, j] * 2^(m*j), least
+ * significant first, for a C-contiguous (batch, n) input; 0 < m < 64.
+ * Every one of the width = n + ceil(64/m) + 1 digits of each row is
+ * written, so out needs no zero-fill.
+ *
+ * The running carry stays below 2^64 (it is at most (carry + 2^64) /
+ * 2^m), but carry + in[b, j] takes 65 bits, hence 128-bit arithmetic.
+ */
+void carry_rows(const u64 *in, u64 *out, size_t batch, size_t n,
+                size_t width, unsigned m)
+{
+    u64 mask = ((u64)1 << m) - 1;
+    for (size_t b = 0; b < batch; b++) {
+        const u64 *x = in + b * n;
+        u64 *y = out + b * width;
+        u128 carry = 0;
+        size_t j = 0;
+        for (; j < n; j++) {
+            carry += x[j];
+            y[j] = (u64)carry & mask;
+            carry >>= m;
+        }
+        for (; j < width; j++) {
+            y[j] = (u64)carry & mask;
+            carry >>= m;
+        }
+    }
 }

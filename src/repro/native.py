@@ -1,10 +1,12 @@
 """Compiled ``GF(p)`` kernels: build once, cache, load through ctypes.
 
-``native.c`` holds two entry points — the elementwise multiply-reduce
-behind :func:`repro.field.vector.vmul` and the factored stage DFT
-behind the ``compiled`` NTT kernel (:mod:`repro.ntt.kernels`).  It is
-compiled on first use with the C compiler Python's own extension build
-uses (``sysconfig``'s ``CC``, overridable by the ``CC`` environment
+``native.c`` holds three entry points — the elementwise
+multiply-reduce behind :func:`repro.field.vector.vmul`, the factored
+stage DFT behind the ``compiled`` NTT kernel (:mod:`repro.ntt.kernels`)
+and the one-pass row carry behind
+:func:`repro.ssa.carry.carry_recover_many`.  It is compiled on first
+use with the C compiler Python's own extension build uses
+(``sysconfig``'s ``CC``, overridable by the ``CC`` environment
 variable) and portable flags, then loaded with stdlib :mod:`ctypes`.
 
 The shared library is cached in ``$XDG_CACHE_HOME/repro`` (default
@@ -122,6 +124,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.mul_reduce.restype = None
     lib.stage_dft.argtypes = [ptr, ptr, size, size, size, ptr, ptr, ptr]
     lib.stage_dft.restype = ctypes.c_int
+    lib.carry_rows.argtypes = [ptr, ptr, size, size, size, ctypes.c_uint]
+    lib.carry_rows.restype = None
     return lib
 
 
@@ -248,6 +252,39 @@ def mul_reduce(
     if size:
         lib.mul_reduce(
             a.ctypes.data, b.ctypes.data, out.ctypes.data, size, period_b
+        )
+    return out
+
+
+def carry_rows(coefficients: np.ndarray, m: int) -> Optional[np.ndarray]:
+    """Compiled carry of each row of ``coefficients`` into ``m``-bit
+    digits, or ``None`` for inputs it does not take.
+
+    Taken: a C-contiguous 2-D uint64 ``(batch, n)`` matrix and an int
+    ``0 < m < 64``.  Row ``b`` of the ``(batch, n + ceil(64/m) + 1)``
+    result holds the digits of ``Σ_j coefficients[b, j]·2**(m·j)``,
+    least significant first.  ``None`` also when the library is
+    unavailable.
+    """
+    if not (
+        isinstance(coefficients, np.ndarray)
+        and coefficients.dtype == np.uint64
+        and coefficients.ndim == 2
+        and coefficients.flags.c_contiguous
+        and isinstance(m, (int, np.integer))
+        and 0 < m < 64
+    ):
+        return None
+    lib = _loaded()
+    if lib is None:
+        return None
+    batch, n = coefficients.shape
+    m = int(m)
+    width = n + -(-64 // m) + 1
+    out = np.empty((batch, width), dtype=np.uint64)
+    if batch:
+        lib.carry_rows(
+            coefficients.ctypes.data, out.ctypes.data, batch, n, width, m
         )
     return out
 

@@ -15,6 +15,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro import native
+
 
 def carry_recover(
     coefficients: Sequence[int], coefficient_bits: int
@@ -44,13 +46,13 @@ def carry_recover_many(
 ) -> np.ndarray:
     """Vectorized carry recovery over a ``(batch, n)`` uint64 matrix.
 
-    Row ``i`` of the returned ``(batch, n + extra)`` matrix holds the
-    normalized ``m``-bit digits of ``Σ_j c_ij · 2**(m·j)`` — identical
-    (up to trailing zeros) to :func:`carry_recover` applied per row.
-    Carries are propagated whole-matrix at a time: each pass splits
-    every entry into digit and carry and adds the carries one column
-    up; random convolution output settles in a handful of passes, and
-    saturated digit runs ripple one column per pass.
+    Row ``i`` of the returned ``(batch, n + ceil(64/m) + 1)`` matrix
+    holds the normalized ``m``-bit digits of ``Σ_j c_ij · 2**(m·j)`` —
+    identical (up to trailing zeros) to :func:`carry_recover` applied
+    per row.  The carry is linear in the row length on every input:
+    the compiled kernel (:func:`repro.native.carry_rows`) carries each
+    row in one sequential pass, and hosts without it run
+    :func:`_carry_lookahead`, whose pass count depends on ``m`` only.
     """
     m = coefficient_bits
     if not 0 < m < 64:
@@ -58,23 +60,47 @@ def carry_recover_many(
     coeffs = np.ascontiguousarray(coefficients, dtype=np.uint64)
     if coeffs.ndim != 2:
         raise ValueError("expected a (batch, n) matrix")
+    digits = native.carry_rows(coeffs, m)
+    return digits if digits is not None else _carry_lookahead(coeffs, m)
+
+
+def _carry_lookahead(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The numpy carry: split passes, then one carry-lookahead.
+
+    Each pass splits every column into digit and carry and adds the
+    carries one column up.  Digit plus carry is below ``2**m + 2**(64-m)``,
+    so about ``64/m`` passes bring every column to at most ``2**m``,
+    however long the rows are.  A column of exactly ``2**m`` then
+    *generates* a carry, one of ``2**m - 1`` *propagates* its carry-in
+    and any smaller one *stops* it; each column's carry-out is the
+    generate bit of the last generate-or-stop column at or below it.
+    """
     batch, n = coeffs.shape
     # Headroom for the final carry-out: entries are < 2**64, so the row
     # value is < 2**(m·(n-1) + 65) and ceil(64/m) + 1 extra digits
     # always suffice.
-    extra = -(-64 // m) + 1
-    work = np.zeros((batch, n + extra), dtype=np.uint64)
+    width = n + -(-64 // m) + 1
+    work = np.zeros((batch, width), dtype=np.uint64)
     work[:, :n] = coeffs
+    top = np.uint64(1 << m)
     mask = np.uint64((1 << m) - 1)
     shift = np.uint64(m)
-    while True:
-        carry = work >> shift
-        if not carry.any():
-            return work
+    while work.max(initial=0) > top:
         # digit + carry < 2**m + 2**(64-m) <= 2**64: never overflows,
         # and the sizing above guarantees the last column stays clean.
+        carry = work >> shift
         work &= mask
         work[:, 1:] += carry[:, :-1]
+    generate = work == top
+    if not generate.any():
+        return work
+    stops = np.where(generate | (work < mask), np.arange(width), -1)
+    last = np.maximum.accumulate(stops, axis=1)
+    carry_out = np.take_along_axis(generate, np.maximum(last, 0), axis=1)
+    carry_out &= last >= 0
+    work[:, 1:] += carry_out[:, :-1]
+    work &= mask
+    return work
 
 
 def carry_recover_blocked(

@@ -1,11 +1,15 @@
 """Property tests for the batched SSA pipeline: decompose_many /
 carry_recover_many / recompose_many / SSAMultiplier.multiply_many."""
 
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.ssa.carry import carry_recover, carry_recover_many
 from repro.ssa.encode import (
     SSAParameters,
@@ -15,6 +19,41 @@ from repro.ssa.encode import (
     recompose_many,
 )
 from repro.ssa.multiplier import SSAMultiplier
+
+
+@pytest.fixture(
+    params=[
+        pytest.param(
+            "compiled",
+            marks=pytest.mark.skipif(
+                not native.available(), reason="no C compiler"
+            ),
+        ),
+        "numpy",
+    ]
+)
+def carry_path(request):
+    """Run ``carry_recover_many`` on one path: the compiled row pass, or
+    the numpy passes and lookahead a host without a compiler runs."""
+    if request.param == "numpy":
+        with mock.patch.object(native, "carry_rows", return_value=None):
+            yield request.param
+    else:
+        yield request.param
+
+
+def _edge_rows(m, n, seed):
+    """Random 64-bit, all-ones-plus-one (a full-length ripple),
+    single-digit-carry, zero and all-maximum coefficient rows."""
+    rng = np.random.default_rng(seed)
+    mask = (1 << m) - 1
+    rows = np.zeros((5, n), dtype=np.uint64)
+    rows[0] = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    rows[1] = mask
+    rows[1, 0] = mask + 1
+    rows[2, n // 2] = 1 << m
+    rows[4] = (1 << 64) - 1
+    return rows
 
 
 class TestDecomposeMany:
@@ -74,6 +113,23 @@ class TestCarryRecoverMany:
         want = carry_recover([int(c) for c in row[0]], m)
         assert [int(d) for d in digit_rows[0][: len(want)]] == want
 
+    @pytest.mark.parametrize("m", [1, 7, 8, 23, 24, 32, 63])
+    def test_edge_rows_match_scalar(self, carry_path, m):
+        coeffs = _edge_rows(m, 40, seed=m)
+        digit_rows = carry_recover_many(coeffs, m)
+        assert digit_rows.shape == (5, 40 + -(-64 // m) + 1)
+        for row_in, row_out in zip(coeffs, digit_rows):
+            want = carry_recover([int(c) for c in row_in], m)
+            got = [int(d) for d in row_out]
+            assert got[: len(want)] == want
+            assert all(d == 0 for d in got[len(want) :])
+
+    @pytest.mark.parametrize("shape", [(0, 16), (3, 0), (0, 0)])
+    def test_empty_shapes(self, carry_path, shape):
+        digit_rows = carry_recover_many(np.zeros(shape, np.uint64), 24)
+        assert digit_rows.shape == (shape[0], shape[1] + 4)
+        assert not digit_rows.any()
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             carry_recover_many(np.zeros(8, dtype=np.uint64), 24)
@@ -132,3 +188,28 @@ class TestMultiplyMany:
 
     def test_empty_batch(self):
         assert SSAMultiplier.for_bits(1024).multiply_many([]) == []
+
+    def test_all_ones_square_costs_about_a_random_one(self, carry_path):
+        """(2^65536 − 1)² carries through one saturated digit run as
+        long as the product; the carry stays linear, so eight such
+        squares take at most 3× eight random squares (best of 3)."""
+        bits = 65536
+        multiplier = SSAMultiplier.for_bits(bits)
+        rng = np.random.default_rng(7)
+        ones = (1 << bits) - 1
+        randoms = [
+            int.from_bytes(rng.bytes(bits // 8), "little") for _ in range(8)
+        ]
+
+        def best_of_3(values):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                got = multiplier.multiply_many([(v, v) for v in values])
+                best = min(best, time.perf_counter() - start)
+            assert got == [v * v for v in values]
+            return best
+
+        random_s = best_of_3(randoms)
+        ones_s = best_of_3([ones] * 8)
+        assert ones_s <= 3 * random_s, (ones_s, random_s)
