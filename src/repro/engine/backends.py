@@ -357,14 +357,24 @@ class SoftwareMPBackend(SoftwareBackend):
         """Abandon the current pool without waiting (crash/timeout path).
 
         ``shutdown(wait=False, cancel_futures=True)`` returns at once
-        even when a worker is hung or dead; the next
+        even when a worker is hung or dead, and the stale pool's
+        workers are terminated: a hung one would otherwise run its
+        shard to the end, and the interpreter's exit hook joins the
+        pool, so the process could not exit before it.  The next
         :meth:`_pool_for` call builds a fresh generation.
         """
         with self._pool_lock:
             stale, self._pool = self._pool, None
             self._pool_key = None
-        if stale is not None:
-            stale.shutdown(wait=False, cancel_futures=True)
+        if stale is None:
+            return
+        # ProcessPoolExecutor has no public terminate before Python
+        # 3.14; its private worker table is read behind a guard, and
+        # before shutdown, which drops it.
+        workers = list((getattr(stale, "_processes", None) or {}).values())
+        stale.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
 
     def close(self) -> None:
         """Shut the worker pool down (it restarts lazily on next use)."""

@@ -21,11 +21,16 @@ not depend on inherited parent state).
 
 import os
 import random
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import Engine, ExecutionConfig, faultinject
 from repro.engine.backends import SoftwareMPBackend
 from repro.engine.jobs import JobScheduler, MultiplyJob
@@ -286,7 +291,53 @@ class TestSharedMemoryCrashRecovery:
 # -- timeouts --------------------------------------------------------------
 
 
+#: A caller whose job times out on a shard hung for 20 s: it closes its
+#: engine and exits.
+_ABANDONED_SHARD = """
+from repro.engine import Engine, ExecutionConfig, faultinject
+from repro.engine.jobs import JobScheduler, MultiplyJob
+from repro.engine.resilience import JobTimeoutError
+
+engine = Engine(config=ExecutionConfig(workers=2), backend="software-mp")
+pairs = [(3 << 64, 5), (7, 11 << 32), (13, 17), (19, 23 << 96)]
+engine.multiply([a for a, _ in pairs], [b for _, b in pairs])
+with JobScheduler(engine) as jobs:
+    with faultinject.inject("shard-delay:0:20"):
+        handle = jobs.submit(MultiplyJob.batched(pairs), timeout=0.5)
+        try:
+            handle.result()
+        except JobTimeoutError:
+            print("timed out")
+engine.close()
+"""
+
+
 class TestTimeout:
+    def test_abandoned_worker_does_not_hold_process_exit(self):
+        """The hung worker is terminated with its abandoned pool, so
+        the caller exits promptly instead of when the shard ends."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-c", _ABANDONED_SHARD],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=8)
+        finally:  # no worker outlives the test, whatever happened
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
+        assert process.returncode == 0, err
+        assert out.split() == ["timed", "out"]
+
     def test_hung_shard_times_out_and_pool_recovers(self):
         rng = random.Random(24)
         pairs = _pairs(rng, 4, 512)
