@@ -201,10 +201,11 @@ int stage_dft(const u64 *x, u64 *out, size_t blocks, size_t radix,
 }
 
 /*
- * out[b, :] = the m-bit digits of sum_j in[b, j] * 2^(m*j), least
- * significant first, for a C-contiguous (batch, n) input; 0 < m < 64.
- * Every one of the width = n + ceil(64/m) + 1 digits of each row is
- * written, so out needs no zero-fill.
+ * out[b, :] = the low width m-bit digits of sum_j in[b, j] * 2^(m*j),
+ * least significant first, for a C-contiguous (batch, n) input;
+ * width >= n and 0 < m < 64.  Every digit of every row is written, so
+ * out needs no zero-fill; width = n + ceil(64/m) + 1 holds the whole
+ * row value.
  *
  * The running carry stays below 2^64 (it is at most (carry + 2^64) /
  * 2^m), but carry + in[b, j] takes 65 bits, hence 128-bit arithmetic.

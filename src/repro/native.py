@@ -256,15 +256,17 @@ def mul_reduce(
     return out
 
 
-def carry_rows(coefficients: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """Compiled carry of each row of ``coefficients`` into ``m``-bit
-    digits, or ``None`` for inputs it does not take.
+def carry_rows(
+    coefficients: np.ndarray, m: int, width: int
+) -> Optional[np.ndarray]:
+    """Compiled carry of each row of ``coefficients`` into ``width``
+    ``m``-bit digits, or ``None`` for inputs it does not take.
 
-    Taken: a C-contiguous 2-D uint64 ``(batch, n)`` matrix and an int
-    ``0 < m < 64``.  Row ``b`` of the ``(batch, n + ceil(64/m) + 1)``
-    result holds the digits of ``Σ_j coefficients[b, j]·2**(m·j)``,
-    least significant first.  ``None`` also when the library is
-    unavailable.
+    Taken: a C-contiguous 2-D uint64 ``(batch, n)`` matrix, an int
+    ``0 < m < 64`` and an int ``width >= n``.  Row ``b`` of the
+    ``(batch, width)`` result holds the low ``width`` digits of
+    ``Σ_j coefficients[b, j]·2**(m·j)``, least significant first.
+    ``None`` also when the library is unavailable.
     """
     if not (
         isinstance(coefficients, np.ndarray)
@@ -273,14 +275,14 @@ def carry_rows(coefficients: np.ndarray, m: int) -> Optional[np.ndarray]:
         and coefficients.flags.c_contiguous
         and isinstance(m, (int, np.integer))
         and 0 < m < 64
+        and isinstance(width, (int, np.integer))
+        and width >= coefficients.shape[1]
     ):
         return None
     lib = _loaded()
     if lib is None:
         return None
     batch, n = coefficients.shape
-    m = int(m)
-    width = n + -(-64 // m) + 1
     out = np.empty((batch, width), dtype=np.uint64)
     if batch:
         lib.carry_rows(

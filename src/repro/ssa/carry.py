@@ -60,11 +60,17 @@ def carry_recover_many(
     coeffs = np.ascontiguousarray(coefficients, dtype=np.uint64)
     if coeffs.ndim != 2:
         raise ValueError("expected a (batch, n) matrix")
-    digits = native.carry_rows(coeffs, m)
-    return digits if digits is not None else _carry_lookahead(coeffs, m)
+    # Headroom for the final carry-out: entries are < 2**64, so the row
+    # value is < 2**(m·(n-1) + 65) and ceil(64/m) + 1 extra digits
+    # always suffice.
+    width = coeffs.shape[1] + -(-64 // m) + 1
+    digits = native.carry_rows(coeffs, m, width)
+    if digits is None:
+        digits = _carry_lookahead(coeffs, m, width)
+    return digits
 
 
-def _carry_lookahead(coeffs: np.ndarray, m: int) -> np.ndarray:
+def _carry_lookahead(coeffs: np.ndarray, m: int, width: int) -> np.ndarray:
     """The numpy carry: split passes, then one carry-lookahead.
 
     Each pass splits every column into digit and carry and adds the
@@ -76,10 +82,6 @@ def _carry_lookahead(coeffs: np.ndarray, m: int) -> np.ndarray:
     generate bit of the last generate-or-stop column at or below it.
     """
     batch, n = coeffs.shape
-    # Headroom for the final carry-out: entries are < 2**64, so the row
-    # value is < 2**(m·(n-1) + 65) and ceil(64/m) + 1 extra digits
-    # always suffice.
-    width = n + -(-64 // m) + 1
     work = np.zeros((batch, width), dtype=np.uint64)
     work[:, :n] = coeffs
     top = np.uint64(1 << m)
@@ -87,7 +89,7 @@ def _carry_lookahead(coeffs: np.ndarray, m: int) -> np.ndarray:
     shift = np.uint64(m)
     while work.max(initial=0) > top:
         # digit + carry < 2**m + 2**(64-m) <= 2**64: never overflows,
-        # and the sizing above guarantees the last column stays clean.
+        # and the caller's width keeps the last column clean.
         carry = work >> shift
         work &= mask
         work[:, 1:] += carry[:, :-1]

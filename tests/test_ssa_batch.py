@@ -130,6 +130,20 @@ class TestCarryRecoverMany:
         assert digit_rows.shape == (shape[0], shape[1] + 4)
         assert not digit_rows.any()
 
+    def test_compiled_carry_checks_before_any_call_into_c(self):
+        """Inputs the C pass does not take answer ``None``, not a call."""
+        good = np.zeros((2, 8), dtype=np.uint64)
+        for coefficients, m, width in [
+            (good.astype(np.int64), 24, 12),  # dtype
+            (good[:, ::2], 24, 12),  # stride
+            (good[0], 24, 12),  # 1-D
+            (good[None], 24, 12),  # 3-D
+            (good, 0, 12),
+            (good, 64, 12),
+            (good, 24, 7),  # fewer digits than coefficients
+        ]:
+            assert native.carry_rows(coefficients, m, width) is None
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             carry_recover_many(np.zeros(8, dtype=np.uint64), 24)
