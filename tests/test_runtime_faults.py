@@ -334,7 +334,7 @@ class TestTimeout:
                 os.killpg(process.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-            process.wait()
+            process.wait(timeout=60)
         assert process.returncode == 0, err
         assert out.split() == ["timed", "out"]
 
