@@ -6,8 +6,9 @@ multiplication (:meth:`Engine.multiply`), FHE contexts
 (:meth:`Engine.fhe`) and the cycle-counted hardware model
 (``Engine(backend="hw-model")``).  Configuration lives in one frozen
 :class:`ExecutionConfig`; plans live in a per-engine
-:class:`~repro.ntt.plan.PlanCache`; compute is pluggable through the
-:class:`~repro.engine.backends.ComputeBackend` registry.
+:class:`~repro.ntt.plan.PlanCache`; compute runs on one of the three
+stock backends or on any
+:class:`~repro.engine.backends.ComputeBackend` instance passed in.
 
 Quickstart::
 
@@ -31,9 +32,6 @@ from repro.engine.backends import (
     HardwareModelBackend,
     SoftwareBackend,
     SoftwareMPBackend,
-    available_backends,
-    create_backend,
-    register_backend,
 )
 from repro.engine.config import (
     CACHE_OFF,
@@ -70,9 +68,6 @@ __all__ = [
     "SoftwareBackend",
     "SoftwareMPBackend",
     "HardwareModelBackend",
-    "register_backend",
-    "available_backends",
-    "create_backend",
     "default_engine",
     "SOFTWARE",
     "SOFTWARE_MP",

@@ -3,8 +3,8 @@
 The paper describes one machine with two faces — the *values* an
 FFT/SSA pipeline produces and the *cycles* the FPGA spends producing
 them.  A :class:`ComputeBackend` is that seam made explicit: the engine
-routes every transform and every multiplication through its backend,
-and the two stock backends answer with identical bits:
+routes every transform and every batch of products through its
+backend, and the three stock backends answer with identical bits:
 
 ``software``
     The staged vectorized executor (:mod:`repro.ntt.staged`) and the
@@ -32,14 +32,16 @@ and the two stock backends answer with identical bits:
     through :mod:`multiprocessing.shared_memory` blocks instead of
     being pickled row-shard by row-shard.
 
-Third-party backends register through :func:`register_backend` and are
-then constructible by name: ``Engine(backend="my-backend")``.
+A single product is a batch of one: the contract is ``name``,
+:meth:`~ComputeBackend.transform` and
+:meth:`~ComputeBackend.multiply_many`, and any object that has them
+serves an engine when passed as ``Engine(backend=instance)``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -80,54 +82,20 @@ class ComputeBackend(Protocol):
         """Row-wise (inverse) NTT of a ``(batch, n)`` uint64 matrix."""
         ...
 
-    def multiply(
-        self, engine: "Engine", multiplier: SSAMultiplier, a: int, b: int
-    ) -> Tuple[int, Optional[object]]:
-        """One exact product; returns ``(product, report-or-None)``."""
-        ...
-
     def multiply_many(
         self,
         engine: "Engine",
         multiplier: SSAMultiplier,
         pairs: List[Tuple[int, int]],
-    ) -> Tuple[List[int], Optional[object]]:
-        """Batched exact products; ``(products, report-or-None)``."""
+    ) -> Tuple[List[int], Optional[List[object]]]:
+        """Exact products of ``pairs``, in order — every engine product,
+        single ones as a batch of one.
+
+        Returns ``(products, reports)``: ``reports`` holds one timing
+        report per product, or is ``None`` for a backend that does not
+        time its work.
+        """
         ...
-
-
-_REGISTRY: Dict[str, Callable[[], ComputeBackend]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[[], ComputeBackend]
-) -> None:
-    """Register a backend constructor under ``name``.
-
-    Registered names are accepted by ``Engine(backend=...)``.  Names
-    are unique; re-registering an existing name replaces it (useful for
-    tests injecting instrumented backends).
-    """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def create_backend(name: str) -> ComputeBackend:
-    """Instantiate a registered backend by name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of "
-            f"{available_backends()}"
-        ) from None
-    return factory()
 
 
 class SoftwareBackend:
@@ -146,17 +114,12 @@ class SoftwareBackend:
             return execute_plan_inverse_batch(values, plan)
         return execute_plan_batch(values, plan)
 
-    def multiply(
-        self, engine: "Engine", multiplier: SSAMultiplier, a: int, b: int
-    ) -> Tuple[int, Optional[object]]:
-        return multiplier.multiply(a, b), None
-
     def multiply_many(
         self,
         engine: "Engine",
         multiplier: SSAMultiplier,
         pairs: List[Tuple[int, int]],
-    ) -> Tuple[List[int], Optional[object]]:
+    ) -> Tuple[List[int], Optional[List[object]]]:
         chunk = engine.config.batch_chunk
         if chunk is None or len(pairs) <= chunk:
             return multiplier.multiply_many(pairs), None
@@ -697,7 +660,7 @@ class SoftwareMPBackend(SoftwareBackend):
         engine: "Engine",
         multiplier: SSAMultiplier,
         pairs: List[Tuple[int, int]],
-    ) -> Tuple[List[int], Optional[object]]:
+    ) -> Tuple[List[int], Optional[List[object]]]:
         if self.workers(engine) <= 1 or len(pairs) < self.min_shard_items:
             return super().multiply_many(engine, multiplier, pairs)
         from repro.engine import faultinject
@@ -868,23 +831,12 @@ class HardwareModelBackend:
         )
         return out
 
-    def multiply(
-        self, engine: "Engine", multiplier: SSAMultiplier, a: int, b: int
-    ) -> Tuple[int, Optional[object]]:
-        accelerator = self.accelerator(
-            engine, multiplier.plan, multiplier.params
-        )
-        product, report = accelerator.multiply(
-            a, b, fidelity=engine.config.fidelity
-        )
-        return product, report
-
     def multiply_many(
         self,
         engine: "Engine",
         multiplier: SSAMultiplier,
         pairs: List[Tuple[int, int]],
-    ) -> Tuple[List[int], Optional[object]]:
+    ) -> Tuple[List[int], Optional[List[object]]]:
         accelerator = self.accelerator(
             engine, multiplier.plan, multiplier.params
         )
@@ -899,18 +851,11 @@ class HardwareModelBackend:
         return products, reports
 
 
-register_backend(SOFTWARE, SoftwareBackend)
-register_backend(SOFTWARE_MP, SoftwareMPBackend)
-register_backend(HW_MODEL, HardwareModelBackend)
-
 __all__ = [
     "ComputeBackend",
     "SoftwareBackend",
     "SoftwareMPBackend",
     "HardwareModelBackend",
-    "register_backend",
-    "available_backends",
-    "create_backend",
     "SOFTWARE",
     "SOFTWARE_MP",
     "HW_MODEL",

@@ -23,9 +23,9 @@ An engine owns:
   operand sizing, all pinned to the engine's plan cache;
 - a :class:`~repro.engine.backends.ComputeBackend` that actually runs
   transforms and multiplications — ``"software"`` for throughput,
+  ``"software-mp"`` to shard batches over worker processes,
   ``"hw-model"`` for the cycle-counted accelerator model, or any
-  backend registered via
-  :func:`repro.engine.backends.register_backend`.
+  backend instance passed in.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 from repro.engine.backends import (
     ComputeBackend,
     HardwareModelBackend,
-    create_backend,
+    SoftwareBackend,
+    SoftwareMPBackend,
 )
 from repro.engine.config import (
     CACHE_OFF,
@@ -58,6 +59,11 @@ from repro.ntt.plan import (
 from repro.ssa.encode import PAPER_PARAMETERS, SSAParameters, params_for_bits
 from repro.ssa.multiplier import SSAMultiplier
 
+_STOCK_BACKENDS = {
+    cls.name: cls
+    for cls in (SoftwareBackend, SoftwareMPBackend, HardwareModelBackend)
+}
+
 
 class Engine:
     """One configurable entry point to the field→NTT→SSA→FHE→hw stack.
@@ -68,8 +74,9 @@ class Engine:
         An :class:`~repro.engine.config.ExecutionConfig`; defaults to
         ``ExecutionConfig()``.
     backend:
-        A registered backend name (``"software"``, ``"hw-model"``) or a
-        ready :class:`~repro.engine.backends.ComputeBackend` instance.
+        A stock backend name (``"software"``, ``"software-mp"``,
+        ``"hw-model"``) or a ready
+        :class:`~repro.engine.backends.ComputeBackend` instance.
     """
 
     def __init__(
@@ -79,9 +86,13 @@ class Engine:
     ):
         self.config = config if config is not None else ExecutionConfig()
         if isinstance(backend, str):
-            self.backend: ComputeBackend = create_backend(backend)
-        else:
-            self.backend = backend
+            if backend not in _STOCK_BACKENDS:
+                raise ValueError(
+                    f"unknown backend {backend!r}; expected one of "
+                    f"{tuple(sorted(_STOCK_BACKENDS))}"
+                )
+            backend = _STOCK_BACKENDS[backend]()
+        self.backend: ComputeBackend = backend
         if self.config.cache == CACHE_SHARED:
             self._plan_cache: Optional[PlanCache] = DEFAULT_PLAN_CACHE
         elif self.config.cache == CACHE_OFF:
@@ -203,10 +214,10 @@ class Engine:
     ) -> Union[int, List[int]]:
         """Exact SSA product(s) through the engine's backend.
 
-        ``multiply(int, int)`` returns one product; two equal-length
-        sequences return the elementwise products as a list (one
-        batched SSA pass on the software backend, chunked per
-        ``config.batch_chunk``).  Any timing artifact the backend
+        ``multiply(int, int)`` returns one product, run as a batch of
+        one; two equal-length sequences return the elementwise products
+        as a list (one batched SSA pass on the software backend, chunked
+        per ``config.batch_chunk``).  Any timing artifact the backend
         produced is available as :attr:`last_report` afterwards.
         """
         if isinstance(a, (int, np.integer)) != isinstance(
@@ -214,7 +225,7 @@ class Engine:
         ):
             raise TypeError("multiply takes two ints or two sequences")
         if isinstance(a, (int, np.integer)):
-            product, _ = self.multiply_with_report(int(a), int(b))
+            product, _ = self.multiply_with_report(a, b)
             return product
         left = [int(x) for x in a]
         right = [int(y) for y in b]
@@ -225,20 +236,19 @@ class Engine:
             self._record_report(None)
             return []
         bits = max(max(x.bit_length(), y.bit_length(), 1) for x, y in pairs)
-        products, report = self.backend.multiply_many(
+        products, reports = self.backend.multiply_many(
             self, self.multiplier(bits=bits), pairs
         )
-        self._record_report(report)
+        self._record_report(reports)
         return products
 
     def multiply_with_report(
         self, a: int, b: int
     ) -> Tuple[int, Optional[object]]:
         """One product plus the backend's timing report (or ``None``)."""
-        bits = max(int(a).bit_length(), int(b).bit_length(), 1)
-        product, report = self.backend.multiply(
-            self, self.multiplier(bits=bits), int(a), int(b)
-        )
+        (product,) = self.multiply([int(a)], [int(b)])
+        reports = self.last_report
+        report = None if reports is None else reports[0]
         self._record_report(report)
         return product, report
 

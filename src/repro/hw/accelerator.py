@@ -51,8 +51,9 @@ from repro.ntt.plan import (
 )
 from repro.ntt.staged import execute_plan_batch, execute_plan_inverse_batch
 from repro.sim.trace import Timeline
-from repro.ssa.carry import carry_recover
-from repro.ssa.encode import PAPER_PARAMETERS, SSAParameters, decompose, recompose
+from repro.ssa.carry import carry_recover_many
+from repro.ssa.encode import PAPER_PARAMETERS, SSAParameters
+from repro.ssa.encode import decompose_many, recompose_many
 
 
 @dataclass(frozen=True)
@@ -695,7 +696,11 @@ class HEAccelerator:
     def multiply(
         self, a: int, b: int, fidelity: str = "fast"
     ) -> Tuple[int, MultiplyReport]:
-        """Exact product plus the Section V phase timing."""
+        """Exact product plus the Section V phase timing.
+
+        Values run the batch tail of
+        :meth:`repro.ssa.SSAMultiplier.multiply_many` on one row.
+        """
         if self.plan.twist:
             raise ValueError(
                 "SSA multiplication needs a cyclic plan; this "
@@ -703,8 +708,7 @@ class HEAccelerator:
             )
         report = MultiplyReport(clock_ns=self.clock_ns)
 
-        vec_a = decompose(a, self.params)
-        vec_b = decompose(b, self.params)
+        vec_a, vec_b = decompose_many([a, b], self.params)
 
         # The hardware keeps the decimated order between the forward
         # passes and the inverse (the dot-product bank is
@@ -731,11 +735,9 @@ class HEAccelerator:
 
         conv, fft_c = self._ntt_flat(conv_plan, spectrum, True, fidelity)
 
-        digits = carry_recover(
-            [int(x) for x in conv], self.params.coefficient_bits
-        )
+        m = self.params.coefficient_bits
+        product = recompose_many(carry_recover_many(conv[None], m), m)[0]
         carry_cycles = self.arch.carry_recovery_cycles(self.plan.n)
-        product = recompose(digits, self.params.coefficient_bits)
 
         for name, cycles in (
             ("fft_a", fft_a.total_cycles),

@@ -185,12 +185,13 @@ def measure_software_batch(
     reported, and the modeled speedup comes from
     :func:`schedule_batch` on the same batch size.
 
-    ``engine`` (an optional :class:`repro.engine.Engine`) routes both
-    paths through the engine — its plan cache *and its compute
-    backend*, so an engine on ``software-mp`` measures the
-    sharded worker-pool path (and exercises its fault recovery when
-    the injection harness is armed); by default a standalone
-    :class:`SSAMultiplier` is sized for ``bits``.
+    By default a standalone :class:`SSAMultiplier` is sized for
+    ``bits`` and loops its scalar-tail ``multiply``.  ``engine`` (an
+    optional :class:`repro.engine.Engine`) routes both paths through
+    the engine — its plan cache *and its compute backend*, so the loop
+    runs single products as batches of one, and an engine on
+    ``software-mp`` measures the sharded worker-pool path (and
+    exercises its fault recovery when the injection harness is armed).
     """
     from repro.ssa.multiplier import SSAMultiplier
 

@@ -126,7 +126,12 @@ class SSAMultiplier:
         return execute_plan(decompose(value, self.params), self.plan)
 
     def multiply(self, a: int, b: int) -> int:
-        """Exact product ``a · b`` via the full SSA pipeline."""
+        """Exact product ``a · b`` on the scalar tail: the reference.
+
+        :func:`carry_recover` and :func:`recompose` finish the
+        convolution, so the batch tail of :meth:`multiply_many` has a
+        second route to be checked against.
+        """
         operands = decompose_many([int(a), int(b)], self.params)
         spectra = execute_plan_batch(operands, self.convolution_plan)
         convolution = execute_plan_inverse(
@@ -154,25 +159,24 @@ class SSAMultiplier:
             [a for a, _ in pairs] + [b for _, b in pairs], self.params
         )
         spectra = execute_plan_batch(operands, self.convolution_plan)
+        return self._products(pointwise_mul(spectra[:count], spectra[count:]))
+
+    def square(self, a: int) -> int:
+        """Exact square ``a²`` using a single forward transform."""
+        spectrum = execute_plan_batch(
+            decompose_many([a], self.params), self.convolution_plan
+        )
+        return self._products(pointwise_mul(spectrum, spectrum))[0]
+
+    def _products(self, spectra: np.ndarray) -> List[int]:
+        """The batch tail: one product per ``(batch, n)`` spectrum row."""
         convolutions = execute_plan_inverse_batch(
-            pointwise_mul(spectra[:count], spectra[count:]),
-            self.convolution_plan,
+            spectra, self.convolution_plan
         )
         digit_rows = carry_recover_many(
             convolutions, self.params.coefficient_bits
         )
         return recompose_many(digit_rows, self.params.coefficient_bits)
-
-    def square(self, a: int) -> int:
-        """Exact square ``a²`` using a single forward transform."""
-        spectrum_a = execute_plan(
-            decompose(int(a), self.params), self.convolution_plan
-        )
-        convolution = execute_plan_inverse(
-            pointwise_mul(spectrum_a, spectrum_a), self.convolution_plan
-        )
-        digits = carry_recover(convolution, self.params.coefficient_bits)
-        return recompose(digits, self.params.coefficient_bits)
 
 
 def split_batch(count: int, shards: int) -> List[slice]:

@@ -17,12 +17,12 @@ import repro
 from repro import native
 from repro.arch import ArchSpec
 from repro.engine import (
+    HW_MODEL,
+    SOFTWARE,
+    SOFTWARE_MP,
     Engine,
     ExecutionConfig,
-    available_backends,
-    create_backend,
     default_engine,
-    register_backend,
 )
 from repro.engine.backends import SoftwareBackend
 from repro.field.solinas import P
@@ -101,10 +101,26 @@ class TestExecutionConfig:
             ExecutionConfig(workers=-1)
 
 
+class _TwoMethodBackend:
+    """The whole backend contract: ``name``, ``transform`` and
+    ``multiply_many``, delegating to a software backend it holds."""
+
+    name = "two-method"
+
+    def __init__(self):
+        self._inner = SoftwareBackend()
+
+    def transform(self, engine, plan, values, inverse=False):
+        return self._inner.transform(engine, plan, values, inverse=inverse)
+
+    def multiply_many(self, engine, multiplier, pairs):
+        return self._inner.multiply_many(engine, multiplier, pairs)
+
+
 class TestBackendRegistry:
     def test_stock_backends_registered(self):
-        assert "software" in available_backends()
-        assert "hw-model" in available_backends()
+        for name in (SOFTWARE, SOFTWARE_MP, HW_MODEL):
+            assert Engine(backend=name).backend.name == name
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -114,19 +130,16 @@ class TestBackendRegistry:
         engine = Engine(backend=SoftwareBackend())
         assert engine.multiply(6, 7) == 42
 
-    def test_register_and_create(self):
-        class Probe(SoftwareBackend):
-            name = "probe"
-
-        register_backend("probe", Probe)
-        try:
-            assert "probe" in available_backends()
-            assert isinstance(create_backend("probe"), Probe)
-            assert Engine(backend="probe").multiply(2, 3) == 6
-        finally:
-            from repro.engine import backends as backends_mod
-
-            backends_mod._REGISTRY.pop("probe", None)
+    def test_two_method_backend_serves_every_product(self):
+        """Single products and DGHV gates need only ``multiply_many``."""
+        engine = Engine(backend=_TwoMethodBackend())
+        assert engine.multiply(6, 7) == 42
+        assert engine.multiply_with_report(6, 7) == (42, None)
+        assert engine.last_report is None
+        scheme = engine.fhe(TOY, rng=random.Random(31))
+        keys = scheme.keygen()
+        ca, cb = scheme.encrypt(keys, 1), scheme.encrypt(keys, 1)
+        assert scheme.decrypt(keys, scheme.multiply(keys, ca, cb)) == 1
 
 
 class TestPlanCacheIsolation:
@@ -354,6 +367,28 @@ class TestBackendEquivalence:
         assert products == [33, 65, 119]
         assert isinstance(engine.last_report, list)
         assert len(engine.last_report) == 3
+        # A single product is a batch of one: its report is the one
+        # entry a one-pair list gets.
+        product, report = engine.multiply_with_report(3, 11)
+        engine.multiply([3], [11])
+        (batched,) = engine.last_report
+        assert product == 33
+        assert [(p.name, p.cycles) for p in report.phases] == [
+            (p.name, p.cycles) for p in batched.phases
+        ]
+
+    def test_hw_square_of_saturated_digits(self):
+        """``2**4096 − 1`` squared: every digit saturated, both fidelities."""
+        a = 2**4096 - 1
+        totals = []
+        for fidelity in ("fast", "datapath"):
+            engine = Engine(
+                config=ExecutionConfig(fidelity=fidelity), backend="hw-model"
+            )
+            product, report = engine.multiply_with_report(a, a)
+            assert product == a * a
+            totals.append(report.total_cycles)
+        assert totals[0] == totals[1]
 
     def test_hardware_requires_hw_backend(self):
         with pytest.raises(ValueError, match="hw-model"):

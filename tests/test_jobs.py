@@ -15,11 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    Engine,
-    ExecutionConfig,
-    available_backends,
-)
+from repro.engine import Engine, ExecutionConfig
 from repro.field.solinas import P
 from repro.fhe.dghv import DGHV
 from repro.fhe.params import TOY
@@ -665,9 +661,6 @@ class TestJobTypes:
 
 
 class TestSoftwareMP:
-    def test_registered(self):
-        assert "software-mp" in available_backends()
-
     def test_small_batches_run_inline(self, mp_engine):
         # Below the shard floor no pool is spun up.
         assert mp_engine.multiply(3, 5) == 15
