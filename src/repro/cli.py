@@ -376,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "worker processes for software-mp (default: one per CPU); "
-            "setting it without --backend selects software-mp"
+            "worker processes for software-mp (default: one per usable "
+            "CPU); setting it without --backend selects software-mp"
         ),
     )
     pm.set_defaults(func=_cmd_multiply)

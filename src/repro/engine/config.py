@@ -51,9 +51,12 @@ class ExecutionConfig:
         banked memories and the shift-only FFT-64 unit); both report
         the same analytic cycle schedule.
     workers:
-        Worker-process count for the ``software-mp`` backend (the
-        batch-axis sharding pool).  ``None`` asks for one worker per
-        CPU (``os.cpu_count()``); other backends ignore it.
+        Batch-axis width: the most threads a ``software`` call splits
+        its batch over (when the ``compiled`` stage kernel runs it and
+        the batch is big enough), or the worker-process count of the
+        ``software-mp`` pool.  ``None`` asks for the CPUs this process
+        may run on (its affinity set, else ``os.cpu_count()``);
+        ``hw-model`` ignores it.
     max_respawns:
         How many times the ``software-mp`` backend rebuilds its worker
         pool *within one batch* after a worker crash before it stops

@@ -22,10 +22,10 @@ An engine owns:
 - a pool of :class:`~repro.ssa.SSAMultiplier` instances keyed by
   operand sizing, all pinned to the engine's plan cache;
 - a :class:`~repro.engine.backends.ComputeBackend` that actually runs
-  transforms and multiplications — ``"software"`` for throughput,
-  ``"software-mp"`` to shard batches over worker processes,
-  ``"hw-model"`` for the cycle-counted accelerator model, or any
-  backend instance passed in.
+  transforms and multiplications — ``"software"`` for throughput
+  (big batches split over threads), ``"software-mp"`` to shard
+  batches over worker processes, ``"hw-model"`` for the
+  cycle-counted accelerator model, or any backend instance passed in.
 """
 
 from __future__ import annotations
@@ -120,7 +120,9 @@ class Engine:
         once (e.g. synchronous calls while jobs are in flight) is not
         supported — caches and the hw-model's per-PE state (activity
         ledgers, banked buffers) are unsynchronized.  Route concurrent
-        work through the job queue.
+        work through the job queue.  The ``software`` backend's own
+        pool threads are not such callers: each runs one slice of the
+        calling thread's batch and never calls back into the engine.
         """
         return getattr(self._thread_reports, "value", None)
 
@@ -284,10 +286,10 @@ class Engine:
         """Release the engine's asynchronous resources (idempotent).
 
         Drains and stops the job scheduler (if one was created) and
-        shuts down any worker pool the backend holds (the
-        ``software-mp`` process pool).  The engine itself stays usable
-        for synchronous calls; schedulers and pools are rebuilt lazily
-        on next use.
+        shuts down any pool the backend holds (the ``software``
+        backend's batch-axis threads, the ``software-mp`` process
+        pool).  The engine itself stays usable for synchronous calls;
+        schedulers and pools are rebuilt lazily on next use.
         """
         if self._scheduler is not None:
             self._scheduler.shutdown(wait=True)

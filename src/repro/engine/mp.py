@@ -35,14 +35,18 @@ _WORKER_ENGINE = None
 def initialize_worker(config: ExecutionConfig) -> None:
     """Pool initializer: rebuild the engine from the pickled config.
 
-    The worker always runs the plain ``software`` backend — sharding
-    recursion (a worker spawning its own pool) is structurally
-    impossible.
+    The worker always runs the plain ``software`` backend at
+    ``workers=1`` — sharding recursion (a worker spawning its own
+    process pool) is structurally impossible, and a worker starts no
+    batch-axis threads, so the pool's processes never oversubscribe
+    the CPUs it was sized for.
     """
     global _WORKER_ENGINE
     from repro.engine.core import Engine
 
-    _WORKER_ENGINE = Engine(config=config, backend="software")
+    _WORKER_ENGINE = Engine(
+        config=config.with_overrides(workers=1), backend="software"
+    )
 
 
 def _engine():

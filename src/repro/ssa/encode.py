@@ -122,7 +122,8 @@ def decompose_many(values: Sequence[int], params: SSAParameters) -> np.ndarray:
 
     Row ``i`` equals ``decompose(values[i], params)``; on the
     byte-aligned fast path all operands are serialized into one byte
-    buffer and sliced with a single vectorized pass.
+    buffer, written into the low bytes of each little-endian word of
+    the output in one strided copy.
     """
     values = [int(v) for v in values]
     m = params.coefficient_bits
@@ -135,7 +136,9 @@ def decompose_many(values: Sequence[int], params: SSAParameters) -> np.ndarray:
                 f"operand of {value.bit_length()} bits exceeds the "
                 f"{params.operand_bits}-bit limit of these parameters"
             )
-    out = np.zeros((len(values), params.transform_size), dtype=np.uint64)
+    # Little-endian words whatever the host's byte order, so the byte
+    # view below puts byte ``j`` of a digit at weight ``2**(8j)``.
+    out = np.zeros((len(values), params.transform_size), dtype="<u8")
     if not values:
         return out
     if m % 8 == 0:
@@ -144,12 +147,8 @@ def decompose_many(values: Sequence[int], params: SSAParameters) -> np.ndarray:
         chunks = np.frombuffer(raw, dtype=np.uint8).reshape(
             len(values), count, step
         )
-        acc = np.zeros((len(values), count), dtype=np.uint64)
-        for byte_index in range(step):
-            acc |= chunks[:, :, byte_index].astype(np.uint64) << np.uint64(
-                8 * byte_index
-            )
-        out[:, :count] = acc
+        words = out.view(np.uint8).reshape(len(values), -1, 8)
+        words[:, :count, :step] = chunks
     else:
         for row, value in enumerate(values):
             out[row] = decompose(value, params)

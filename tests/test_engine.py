@@ -6,7 +6,10 @@ backends, per-engine plan caching on the host's stage kernel, FHE
 context binding, and the top-level deprecation shims.
 """
 
+import os
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from repro.engine import (
     ExecutionConfig,
     default_engine,
 )
-from repro.engine.backends import SoftwareBackend
+from repro.engine.backends import MIN_THREAD_SHARD, SoftwareBackend
 from repro.field.solinas import P
 from repro.fhe.ops import he_mult
 from repro.fhe.params import TOY
@@ -35,8 +38,15 @@ from repro.ntt.kernels import (
     KERNEL_LIMB_MATMUL,
 )
 from repro.ntt.negacyclic import negacyclic_convolution
-from repro.ntt.plan import plan_cache_stats
+from repro.ntt.plan import (
+    TWIST_NEGACYCLIC,
+    decimated_companion,
+    plan_cache_stats,
+    plan_for_size,
+)
 from repro.ntt.staged import execute_plan, execute_plan_inverse
+from repro.ssa.encode import params_for_bits
+from repro.ssa.multiplier import SSAMultiplier
 
 
 def _rows(rng, batch, n):
@@ -461,6 +471,123 @@ class TestEngineMultiply:
             engine.multiplier()
         with pytest.raises(ValueError):
             engine.multiplier(bits=64, params=m_params())
+
+
+#: 1024-point rows that make exactly two shards of the thread floor.
+_SPLIT_ROWS = 2 * MIN_THREAD_SHARD // 1024
+
+
+class TestSoftwareThreads:
+    """``software`` splits the batch axis over threads above a floor."""
+
+    @pytest.fixture
+    def engine(self):
+        engine = Engine(config=ExecutionConfig(workers=2))
+        yield engine
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "flavour", ["cyclic", "negacyclic", "decimated", "decimated-negacyclic"]
+    )
+    def test_transforms_match_one_thread(self, engine, flavour):
+        twist = TWIST_NEGACYCLIC if "negacyclic" in flavour else ""
+        plan = engine.plan(1024, twist=twist)
+        if flavour.startswith("decimated"):
+            plan = decimated_companion(plan)
+        single = Engine(config=ExecutionConfig(workers=1))
+        rows = _rows(np.random.default_rng(53), _SPLIT_ROWS + 3, 1024)
+        for inverse in (False, True):
+            got = engine.backend.transform(engine, plan, rows, inverse)
+            want = single.backend.transform(single, plan, rows, inverse)
+            assert np.array_equal(got, want)
+        assert (engine.backend._threads is not None) == native.available()
+
+    def test_below_the_floor_no_pool(self, engine):
+        """Batch-1 products, small batches and transforms one row short
+        of two shards run whole on the caller."""
+        rng = random.Random(59)
+        a = [rng.getrandbits(4096) for _ in range(8)]
+        b = [rng.getrandbits(4096) for _ in range(8)]
+        assert engine.multiply(a, b) == [x * y for x, y in zip(a, b)]
+        top = (1 << 65_536) - 1
+        assert engine.multiply(top, top) == top * top
+        rows = _rows(np.random.default_rng(59), _SPLIT_ROWS - 1, 1024)
+        engine.ring(1024).forward(rows)
+        assert engine.backend._threads is None
+
+    def test_limb_matmul_plans_never_start_the_pool(self, engine):
+        plan = plan_for_size(1024, kernel=KERNEL_LIMB_MATMUL)
+        rows = _rows(np.random.default_rng(61), _SPLIT_ROWS, 1024)
+        assert np.array_equal(
+            engine.backend.transform(engine, plan, rows),
+            execute_plan(rows, plan),
+        )
+        multiplier = SSAMultiplier(
+            params=params_for_bits(65_536),
+            plan=plan_for_size(8192, kernel=KERNEL_LIMB_MATMUL),
+        )
+        rng = random.Random(61)
+        pairs = [(rng.getrandbits(65_536), rng.getrandbits(65_536))] * 8
+        products, _ = engine.backend.multiply_many(engine, multiplier, pairs)
+        assert products == [a * b for a, b in pairs]
+        assert engine.backend._threads is None
+
+    def test_close_joins_pool_threads_and_the_next_call_rebuilds(self):
+        before = set(threading.enumerate())
+        engine = Engine(config=ExecutionConfig(workers=2))
+        rows = _rows(np.random.default_rng(67), _SPLIT_ROWS, 1024)
+        want = execute_plan(rows, engine.plan(1024))
+        for _ in range(2):
+            assert np.array_equal(engine.ring(1024).forward(rows), want)
+            started = [t for t in threading.enumerate() if t not in before]
+            assert bool(started) == native.available()
+            engine.close()
+            assert not [t for t in threading.enumerate() if t not in before]
+            assert not any(t.is_alive() for t in started)
+
+    def test_more_threads_than_cpus_on_a_fresh_plan(self):
+        """Four shards race the first read of a fresh plan's kernel
+        tables under a short switch interval; the spectra stay exact."""
+        engine = Engine(config=ExecutionConfig(workers=4, cache="off"))
+        rows = _rows(np.random.default_rng(71), 2 * _SPLIT_ROWS, 1024)
+        want = execute_plan(rows, Engine().plan(1024))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                plan = engine.plan(1024)
+                assert np.array_equal(
+                    engine.backend.transform(engine, plan, rows), want
+                )
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+
+    def test_width_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        for name in (SOFTWARE, SOFTWARE_MP):
+            engine = Engine(backend=name)
+            assert engine.backend.workers(engine) == 1
+        engine = Engine()
+        rows = _rows(np.random.default_rng(73), _SPLIT_ROWS, 1024)
+        engine.ring(1024).forward(rows)
+        assert engine.backend._threads is None
+        pinned = Engine(config=ExecutionConfig(workers=3))
+        assert pinned.backend.workers(pinned) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert engine.backend.workers(engine) == 5
+
+    def test_mp_worker_engine_runs_one_thread(self, monkeypatch):
+        from repro.engine import mp
+
+        monkeypatch.setattr(mp, "_WORKER_ENGINE", None)
+        mp.initialize_worker(ExecutionConfig(workers=4))
+        worker = mp._engine()
+        assert worker.backend.name == SOFTWARE
+        assert worker.backend.workers(worker) == 1
 
 
 def m_params():

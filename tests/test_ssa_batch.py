@@ -1,6 +1,7 @@
 """Property tests for the batched SSA pipeline: decompose_many /
 carry_recover_many / recompose_many / SSAMultiplier.multiply_many."""
 
+import random
 import time
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import native
+from repro.engine import Engine, ExecutionConfig
 from repro.ssa.carry import carry_recover, carry_recover_many
 from repro.ssa.encode import (
     SSAParameters,
@@ -227,3 +229,76 @@ class TestMultiplyMany:
         random_s = best_of_3(randoms)
         ones_s = best_of_3([ones] * 8)
         assert ones_s <= 3 * random_s, (ones_s, random_s)
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """A two-thread and a one-thread engine on the shared plan cache."""
+    threaded = Engine(config=ExecutionConfig(workers=2, cache="shared"))
+    single = Engine(config=ExecutionConfig(workers=1, cache="shared"))
+    yield threaded, single
+    threaded.close()
+
+
+class TestThreadedMultiplyMany:
+    """The ``software`` backend's batch-axis threads change no bit."""
+
+    @pytest.mark.parametrize("bits", [4096, 786_432])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9])
+    def test_matches_one_thread(self, engines, bits, count):
+        threaded, single = engines
+        rng = random.Random(bits + count)
+        a = [rng.getrandbits(bits) for _ in range(count)]
+        b = [rng.getrandbits(bits) for _ in range(count)]
+        got = threaded.multiply(a, b)
+        assert got == single.multiply(a, b)
+        if bits == 4096:  # paper-size big-int products cost ~0.1 s each
+            assert got == [x * y for x, y in zip(a, b)]
+
+    def test_paper_batches_split_over_the_pool(self, engines):
+        threaded, _ = engines
+        top = (1 << 786_432) - 1
+        assert threaded.multiply([top, 3], [5, top]) == [5 * top, 3 * top]
+        assert (threaded.backend._threads is not None) == native.available()
+
+    @pytest.mark.parametrize("bits", [4096, 786_432])
+    def test_saturated_operands(self, engines, bits):
+        threaded, single = engines
+        top = (1 << bits) - 1
+        a = [top, top, top - 1, 1 << (bits - 1), top]
+        b = [top, 1, top, top, 0]
+        got = threaded.multiply(a, b)
+        assert got == single.multiply(a, b)
+        assert got == [x * y for x, y in zip(a, b)]
+
+    def test_batch_chunk_bounds_the_pairs_in_flight(self):
+        rng = random.Random(79)
+        a = [rng.getrandbits(262_144) for _ in range(5)]
+        b = [rng.getrandbits(262_144) for _ in range(5)]
+        engine = Engine(
+            config=ExecutionConfig(workers=2, batch_chunk=2, cache="shared")
+        )
+        seen = []
+        multiplier = engine.multiplier(bits=262_144)
+        run = multiplier.multiply_many
+
+        def record(pairs):
+            seen.append(len(pairs))
+            return run(pairs)
+
+        with mock.patch.object(multiplier, "multiply_many", record):
+            assert engine.multiply(a, b) == [x * y for x, y in zip(a, b)]
+        engine.close()
+        assert sum(seen) == 5
+        # One 262,144-bit pair (two 32,768-point rows) fills a shard,
+        # so two-pair chunks split one pair a thread; the last runs
+        # alone.
+        assert seen == ([1, 1, 1, 1, 1] if native.available() else [2, 2, 1])
+
+    def test_oversized_operand_in_second_shard(self, engines):
+        threaded, _ = engines
+        multiplier = threaded.multiplier(bits=786_432)
+        top = (1 << 786_432) - 1
+        pairs = [(top, top)] * 3 + [(top, top + 1)]
+        with pytest.raises(ValueError, match="exceeds"):
+            threaded.backend.multiply_many(threaded, multiplier, pairs)
