@@ -377,7 +377,7 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
         ordering_cases = [(2048, 8)]
         repeats = repeats or 2
     else:
-        cases = [(786_432, 1), (786_432, 8), (4096, 32), (16384, 16)]
+        cases = [(786_432, 1), (4096, 32), (16384, 16)]
         ordering_cases = [
             (ORDERING_ACCEPTANCE_BITS, 4),
             (ORDERING_ACCEPTANCE_BITS, 8),

@@ -9,8 +9,8 @@ backend, and the three stock backends answer with identical bits:
 ``software``
     The staged vectorized executor (:mod:`repro.ntt.staged`) and the
     functional :class:`repro.ssa.SSAMultiplier`.  Fast; no timing.
-    Big batches split their batch axis over a persistent thread pool
-    on the GIL-free ``compiled`` kernels, one thread per usable CPU
+    Big batches of products split over a persistent thread pool on
+    the GIL-free ``compiled`` kernels, one thread per usable CPU
     (:meth:`SoftwareBackend.workers`, which sizes ``software-mp`` too).
 
 ``hw-model``
@@ -106,41 +106,41 @@ class ComputeBackend(Protocol):
 
 #: Smallest batch shard a pool thread takes, in transform rows × points
 #: (a product counts its two operand rows).  Measured on a 2-CPU host
-#: with the ``compiled`` kernel: batches of paper-size products
-#: (131,072 a pair) ran 1.36× faster on two threads, while splitting
-#: the 17–96-row 1024-point transforms of a depth-2 RLWE circuit loop
-#: (up to 49,152 a shard) cost that loop 15%, although each such
-#: transform alone ran 1.3× faster.
+#: with the ``compiled`` kernel, one batch on two threads against one:
+#: product shards of 16,384–65,536 elements ran 1.3–1.8× faster and
+#: of 8,192 about even.  The floor stays at 65,536 because only batches
+#: of paper-size products (131,072 a pair) have shown an end-to-end
+#: gain, on the ``ssa-paper`` loop.
 MIN_THREAD_SHARD = 1 << 16
 
 
 class SoftwareBackend:
     """Staged vectorized execution — values only, maximum throughput.
 
-    The batch axis of ``multiply_many`` and of ``(batch, n)``
-    transforms is split into balanced contiguous shards
-    (:func:`repro.ssa.multiplier.split_batch`): the calling thread runs
-    the first and a persistent :class:`~concurrent.futures.ThreadPoolExecutor`
-    the rest, which overlap because the ``compiled`` stage DFT,
-    multiply-reduce and carry are ctypes calls that release the GIL.
-    Results are reassembled in order, bit-identical to one thread.  A
-    call is split only when its plan's stage kernel is ``compiled``
+    The batch axis of ``multiply_many`` is split into balanced
+    contiguous shards (:func:`repro.ssa.multiplier.split_batch`): the
+    calling thread runs the first and a persistent
+    :class:`~concurrent.futures.ThreadPoolExecutor` the rest, which
+    overlap because the ``compiled`` stage DFT, multiply-reduce and
+    carry are ctypes calls that release the GIL.  Products are
+    reassembled in order, bit-identical to one thread.  A batch is
+    split only when its plan's stage kernel is ``compiled``
     (``limb-matmul`` already runs multithreaded BLAS), :meth:`workers`
     is above one and every shard holds at least
     :data:`MIN_THREAD_SHARD` elements; otherwise it runs whole on the
-    caller's thread.  Pool threads run only
-    :meth:`SSAMultiplier.multiply_many` or the staged executor on their
-    slice, never a backend method, so fan-outs cannot nest.  The pool
-    is built on first use and shut down by :meth:`close`
-    (``Engine.close()``); the next split call rebuilds it.
+    caller's thread, as transforms always do.  Pool threads run only
+    :meth:`SSAMultiplier.multiply_many` on their slice, never a
+    backend method, so fan-outs cannot nest.  The pool is built on
+    first use and shut down by :meth:`close` (``Engine.close()``); the
+    next split batch rebuilds it.
     """
 
     name = SOFTWARE
 
     def __init__(self) -> None:
         self._threads: Optional[ThreadPoolExecutor] = None
-        # Guards pool create/close: close() may come from another
-        # thread than the one computing.
+        # Guards pool create/submit/close: close() may come from
+        # another thread than the one computing.
         self._threads_lock = threading.Lock()
 
     def workers(self, engine: "Engine") -> int:
@@ -157,44 +157,47 @@ class SoftwareBackend:
         except AttributeError:  # no affinity call on this platform
             return os.cpu_count() or 1
 
-    def _thread_pool(self, threads: int) -> ThreadPoolExecutor:
-        """The persistent pool, built with ``threads`` threads on first
-        use."""
-        with self._threads_lock:
-            if self._threads is None:
-                self._threads = ThreadPoolExecutor(
-                    threads, thread_name_prefix="repro-software"
-                )
-            return self._threads
+    def _threads_for(self, engine: "Engine", plan: TransformPlan) -> int:
+        """How many threads a batch on ``plan`` may split over."""
+        if plan.kernel != KERNEL_COMPILED:
+            return 1
+        return self.workers(engine)
 
-    def _fan_out(
+    def _multiply_split(
         self,
         engine: "Engine",
-        plan: TransformPlan,
-        items,
-        row_elements: int,
-        run,
-    ) -> list:
-        """``[run(items[shard]) for shard in shards]``, in order.
+        multiplier: SSAMultiplier,
+        pairs: List[Tuple[int, int]],
+    ) -> List[int]:
+        """``multiplier.multiply_many(pairs)``, split over threads.
 
         The caller's thread runs the first shard and the pool the rest;
         one shard means no pool at all.  Every shard finishes before a
         shard's exception reaches the caller, so no partial result is
         returned and no shard outlives the call.
         """
-        count = len(items)
-        workers = self.workers(engine) if plan.kernel == KERNEL_COMPILED else 1
-        width = min(workers, count * row_elements // MIN_THREAD_SHARD)
-        shards = split_batch(count, max(width, 1)) or [slice(0, count)]
+        plan = multiplier.convolution_plan
+        threads = self._threads_for(engine, plan)
+        width = min(threads, len(pairs) * 2 * plan.n // MIN_THREAD_SHARD)
+        shards = split_batch(len(pairs), max(width, 1))
         futures = []
         if len(shards) > 1:
-            pool = self._thread_pool(workers - 1)
-            futures = [pool.submit(run, items[s]) for s in shards[1:]]
+            with self._threads_lock:
+                if self._threads is None:
+                    self._threads = ThreadPoolExecutor(
+                        threads - 1, thread_name_prefix="repro-software"
+                    )
+                futures = [
+                    self._threads.submit(multiplier.multiply_many, pairs[s])
+                    for s in shards[1:]
+                ]
         try:
-            first = run(items[shards[0]])
+            products = multiplier.multiply_many(pairs[shards[0]])
         finally:
             wait(futures)
-        return [first] + [future.result() for future in futures]
+        for future in futures:
+            products.extend(future.result())
+        return products
 
     def close(self) -> None:
         """Shut the thread pool down (it restarts lazily on next use)."""
@@ -210,11 +213,9 @@ class SoftwareBackend:
         values: np.ndarray,
         inverse: bool = False,
     ) -> np.ndarray:
-        execute = execute_plan_inverse_batch if inverse else execute_plan_batch
-        pieces = self._fan_out(
-            engine, plan, values, plan.n, lambda rows: execute(rows, plan)
-        )
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if inverse:
+            return execute_plan_inverse_batch(values, plan)
+        return execute_plan_batch(values, plan)
 
     def multiply_many(
         self,
@@ -224,17 +225,13 @@ class SoftwareBackend:
     ) -> Tuple[List[int], Optional[List[object]]]:
         # batch_chunk bounds the pairs in flight across all threads.
         chunk = engine.config.batch_chunk or max(len(pairs), 1)
-        plan = multiplier.convolution_plan
         products: List[int] = []
         for start in range(0, len(pairs), chunk):
-            for shard in self._fan_out(
-                engine,
-                plan,
-                pairs[start : start + chunk],
-                2 * plan.n,
-                multiplier.multiply_many,
-            ):
-                products.extend(shard)
+            products.extend(
+                self._multiply_split(
+                    engine, multiplier, pairs[start : start + chunk]
+                )
+            )
         return products, None
 
 
@@ -326,6 +323,12 @@ class SoftwareMPBackend(SoftwareBackend):
         self._shm_seq = itertools.count()
 
     # -- pool management ---------------------------------------------------
+
+    def _threads_for(self, engine: "Engine", plan: TransformPlan) -> int:
+        """One: the in-process paths (inline batches, degraded shards)
+        start no threads, so a later pool build never forks a
+        multi-threaded parent."""
+        return 1
 
     @property
     def worker_pids(self) -> Tuple[int, ...]:
@@ -441,14 +444,12 @@ class SoftwareMPBackend(SoftwareBackend):
             worker.terminate()
 
     def close(self) -> None:
-        """Shut the worker and thread pools down (each restarts lazily
-        on next use)."""
+        """Shut the worker pool down (it restarts lazily on next use)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
             self._pool_key = None
         if pool is not None:
             pool.shutdown(wait=True)
-        super().close()
 
     def clear(self) -> None:
         """``Engine.clear_cache`` hook: drop the pool with the caches."""

@@ -51,10 +51,10 @@ class ExecutionConfig:
         banked memories and the shift-only FFT-64 unit); both report
         the same analytic cycle schedule.
     workers:
-        Batch-axis width: the most threads a ``software`` call splits
-        its batch over (when the ``compiled`` stage kernel runs it and
-        the batch is big enough), or the worker-process count of the
-        ``software-mp`` pool.  ``None`` asks for the CPUs this process
+        Batch-axis width: the most threads a ``software`` product
+        batch splits over (when the ``compiled`` stage kernel runs it
+        and the batch is big enough), or the worker-process count of
+        the ``software-mp`` pool.  ``None`` asks for the CPUs this process
         may run on (its affinity set, else ``os.cpu_count()``);
         ``hw-model`` ignores it.
     max_respawns:

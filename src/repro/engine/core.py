@@ -23,7 +23,7 @@ An engine owns:
   operand sizing, all pinned to the engine's plan cache;
 - a :class:`~repro.engine.backends.ComputeBackend` that actually runs
   transforms and multiplications — ``"software"`` for throughput
-  (big batches split over threads), ``"software-mp"`` to shard
+  (big product batches split over threads), ``"software-mp"`` to shard
   batches over worker processes, ``"hw-model"`` for the
   cycle-counted accelerator model, or any backend instance passed in.
 """
@@ -122,7 +122,8 @@ class Engine:
         ledgers, banked buffers) are unsynchronized.  Route concurrent
         work through the job queue.  The ``software`` backend's own
         pool threads are not such callers: each runs one slice of the
-        calling thread's batch and never calls back into the engine.
+        calling thread's product batch and never calls back into the
+        engine.
         """
         return getattr(self._thread_reports, "value", None)
 

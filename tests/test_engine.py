@@ -38,12 +38,7 @@ from repro.ntt.kernels import (
     KERNEL_LIMB_MATMUL,
 )
 from repro.ntt.negacyclic import negacyclic_convolution
-from repro.ntt.plan import (
-    TWIST_NEGACYCLIC,
-    decimated_companion,
-    plan_cache_stats,
-    plan_for_size,
-)
+from repro.ntt.plan import plan_cache_stats, plan_for_size
 from repro.ntt.staged import execute_plan, execute_plan_inverse
 from repro.ssa.encode import params_for_bits
 from repro.ssa.multiplier import SSAMultiplier
@@ -473,12 +468,20 @@ class TestEngineMultiply:
             engine.multiplier(bits=64, params=m_params())
 
 
-#: 1024-point rows that make exactly two shards of the thread floor.
-_SPLIT_ROWS = 2 * MIN_THREAD_SHARD // 1024
+#: Paper-size operands: one pair (two 65,536-point rows) is two shards'
+#: worth of the thread floor, so every batch of two or more splits.
+_PAPER_BITS = 786_432
+_TOP = (1 << _PAPER_BITS) - 1
+
+
+def _paper_operands(count):
+    """``count`` paper-size operand pairs as ``(a, b)`` lists whose
+    products are cheap to check."""
+    return [_TOP - k for k in range(count)], [k + 2 for k in range(count)]
 
 
 class TestSoftwareThreads:
-    """``software`` splits the batch axis over threads above a floor."""
+    """``software`` splits product batches over threads above a floor."""
 
     @pytest.fixture
     def engine(self):
@@ -486,42 +489,21 @@ class TestSoftwareThreads:
         yield engine
         engine.close()
 
-    @pytest.mark.parametrize(
-        "flavour", ["cyclic", "negacyclic", "decimated", "decimated-negacyclic"]
-    )
-    def test_transforms_match_one_thread(self, engine, flavour):
-        twist = TWIST_NEGACYCLIC if "negacyclic" in flavour else ""
-        plan = engine.plan(1024, twist=twist)
-        if flavour.startswith("decimated"):
-            plan = decimated_companion(plan)
-        single = Engine(config=ExecutionConfig(workers=1))
-        rows = _rows(np.random.default_rng(53), _SPLIT_ROWS + 3, 1024)
-        for inverse in (False, True):
-            got = engine.backend.transform(engine, plan, rows, inverse)
-            want = single.backend.transform(single, plan, rows, inverse)
-            assert np.array_equal(got, want)
-        assert (engine.backend._threads is not None) == native.available()
-
-    def test_below_the_floor_no_pool(self, engine):
-        """Batch-1 products, small batches and transforms one row short
-        of two shards run whole on the caller."""
+    def test_below_the_floor_and_transforms_no_pool(self, engine):
+        """Batch-1 products, small batches and transforms of any size
+        run whole on the caller."""
         rng = random.Random(59)
         a = [rng.getrandbits(4096) for _ in range(8)]
         b = [rng.getrandbits(4096) for _ in range(8)]
         assert engine.multiply(a, b) == [x * y for x, y in zip(a, b)]
         top = (1 << 65_536) - 1
         assert engine.multiply(top, top) == top * top
-        rows = _rows(np.random.default_rng(59), _SPLIT_ROWS - 1, 1024)
+        assert engine.multiply(_TOP, 3) == 3 * _TOP
+        rows = _rows(np.random.default_rng(59), MIN_THREAD_SHARD // 256, 1024)
         engine.ring(1024).forward(rows)
         assert engine.backend._threads is None
 
     def test_limb_matmul_plans_never_start_the_pool(self, engine):
-        plan = plan_for_size(1024, kernel=KERNEL_LIMB_MATMUL)
-        rows = _rows(np.random.default_rng(61), _SPLIT_ROWS, 1024)
-        assert np.array_equal(
-            engine.backend.transform(engine, plan, rows),
-            execute_plan(rows, plan),
-        )
         multiplier = SSAMultiplier(
             params=params_for_bits(65_536),
             plan=plan_for_size(8192, kernel=KERNEL_LIMB_MATMUL),
@@ -535,10 +517,10 @@ class TestSoftwareThreads:
     def test_close_joins_pool_threads_and_the_next_call_rebuilds(self):
         before = set(threading.enumerate())
         engine = Engine(config=ExecutionConfig(workers=2))
-        rows = _rows(np.random.default_rng(67), _SPLIT_ROWS, 1024)
-        want = execute_plan(rows, engine.plan(1024))
+        a, b = _paper_operands(2)
+        want = [x * y for x, y in zip(a, b)]
         for _ in range(2):
-            assert np.array_equal(engine.ring(1024).forward(rows), want)
+            assert engine.multiply(a, b) == want
             started = [t for t in threading.enumerate() if t not in before]
             assert bool(started) == native.available()
             engine.close()
@@ -547,18 +529,22 @@ class TestSoftwareThreads:
 
     def test_more_threads_than_cpus_on_a_fresh_plan(self):
         """Four shards race the first read of a fresh plan's kernel
-        tables under a short switch interval; the spectra stay exact."""
+        tables under a short switch interval; the products stay exact."""
         engine = Engine(config=ExecutionConfig(workers=4, cache="off"))
-        rows = _rows(np.random.default_rng(71), 2 * _SPLIT_ROWS, 1024)
-        want = execute_plan(rows, Engine().plan(1024))
+        params = params_for_bits(_PAPER_BITS)
+        pairs = list(zip(*_paper_operands(4)))
+        want = [a * b for a, b in pairs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                plan = engine.plan(1024)
-                assert np.array_equal(
-                    engine.backend.transform(engine, plan, rows), want
+                multiplier = SSAMultiplier(
+                    params=params, plan=engine.plan(params.transform_size)
                 )
+                products, _ = engine.backend.multiply_many(
+                    engine, multiplier, pairs
+                )
+                assert products == want
         finally:
             sys.setswitchinterval(interval)
             engine.close()
@@ -571,8 +557,7 @@ class TestSoftwareThreads:
             engine = Engine(backend=name)
             assert engine.backend.workers(engine) == 1
         engine = Engine()
-        rows = _rows(np.random.default_rng(73), _SPLIT_ROWS, 1024)
-        engine.ring(1024).forward(rows)
+        engine.multiply(*_paper_operands(2))
         assert engine.backend._threads is None
         pinned = Engine(config=ExecutionConfig(workers=3))
         assert pinned.backend.workers(pinned) == 3

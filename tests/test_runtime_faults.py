@@ -24,6 +24,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -419,6 +420,29 @@ class TestDegradation:
                 )
             assert products == [a * b for a, b in pairs]
             assert engine.backend.fault_report.degraded
+        finally:
+            engine.close()
+
+    def test_degraded_paper_batch_starts_no_threads(self):
+        """A degraded shard of paper-size pairs, big enough to split
+        over ``software``'s threads, runs on the caller's thread: a
+        live thread pool would make the next pool fork a
+        multi-threaded parent."""
+        top = (1 << 786_432) - 1
+        a = [top - k for k in range(4)]
+        b = [k + 2 for k in range(4)]
+        engine = _mp_engine("fork", max_respawns=0)
+        try:
+            with faultinject.inject("worker-kill:0,repeat"):
+                products = engine.multiply(a, b)
+            assert products == [x * y for x, y in zip(a, b)]
+            assert engine.backend.fault_report.degraded
+            assert engine.backend._threads is None
+            assert not [
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-software")
+            ]
         finally:
             engine.close()
 
