@@ -24,16 +24,15 @@ backend, and the three stock backends answer with identical bits:
     are cached per plan, so repeated workloads reuse them.
 
 ``software-mp``
-    The software executor sharded over a persistent
+    SSA products sharded over a persistent
     :class:`concurrent.futures.ProcessPoolExecutor`: the batch axis of
-    ``multiply_many`` and of ``(batch, n)`` transforms is split into
-    balanced contiguous shards (:func:`repro.ssa.multiplier.split_batch`),
-    each worker rebuilds its engine from the pickled
+    ``multiply_many`` is split into balanced contiguous shards
+    (:func:`repro.ssa.multiplier.split_batch`), each worker rebuilds
+    its engine from the pickled
     :class:`~repro.engine.config.ExecutionConfig` and warms its own
-    plan cache once, and results are reassembled in submission order —
-    bit-identical to ``software``.  Transform batches of ≥1 MiB move
-    through :mod:`multiprocessing.shared_memory` blocks instead of
-    being pickled row-shard by row-shard.
+    plan cache once, and products are reassembled in submission order
+    — bit-identical to ``software``.  ``(batch, n)`` ring transforms
+    run on the caller's thread, exactly as on ``software``.
 
 A single product is a batch of one: the contract is ``name``,
 :meth:`~ComputeBackend.transform` and
@@ -236,22 +235,24 @@ class SoftwareBackend:
 
 
 class SoftwareMPBackend(SoftwareBackend):
-    """Batch-axis sharding over a *supervised* worker-process pool.
+    """Product sharding over a *supervised* worker-process pool.
 
-    The throughput backend for multi-core hosts: big batches of SSA
-    products and big ``(batch, n)`` transforms are split into balanced
-    contiguous shards (:func:`repro.ssa.multiplier.split_batch`), each
-    shard runs on one worker of a lazily created
+    Batches of SSA products are split into balanced contiguous shards
+    (:func:`repro.ssa.multiplier.split_batch`), each shard runs on one
+    worker of a lazily created
     :class:`~concurrent.futures.ProcessPoolExecutor`, and the ordered
-    reassembly is bit-identical to :class:`SoftwareBackend`.
+    reassembly is bit-identical to :class:`SoftwareBackend`.  The pool
+    buys crash isolation for big products; ``(batch, n)`` ring
+    transforms run on the caller's thread through the inherited
+    :meth:`SoftwareBackend.transform` and never build a pool.
 
     Workers are initialized exactly once per pool with the engine's
     pickled :class:`~repro.engine.config.ExecutionConfig`
     (:func:`repro.engine.mp.initialize_worker`); their engines — and
     therefore their plan caches — persist across shards.  Single
-    products, one-row transforms and batches below
-    :attr:`min_shard_items` run inline on the parent's software path,
-    where the inter-process copy would cost more than it buys.
+    products and batches below :attr:`min_shard_items` run inline on
+    the parent's software path, where the inter-process copy would
+    cost more than it buys.
 
     **Supervision.**  Shards are pure functions of ``(config,
     payload)``, so every recovery below is bit-identical to the clean
@@ -269,9 +270,9 @@ class SoftwareMPBackend(SoftwareBackend):
       ``JobScheduler.submit(timeout=...)``) raises
       :class:`~repro.engine.resilience.JobTimeoutError` and abandons
       the hung pool (it respawns lazily on next use);
-    - with ``ExecutionConfig(verify_shards=True)`` the first
-      row/product of every shard is spot-checked against the
-      in-process oracle and any mismatch raises
+    - with ``ExecutionConfig(verify_shards=True)`` the first product
+      of every shard is spot-checked against the in-process oracle
+      and any mismatch raises
       :class:`~repro.engine.resilience.ShardVerificationError` instead
       of reassembling silently.
 
@@ -282,15 +283,8 @@ class SoftwareMPBackend(SoftwareBackend):
     """
 
     name = SOFTWARE_MP
-    #: Below this many batch items the work runs inline (IPC floor).
+    #: Below this many products the batch runs inline (IPC floor).
     min_shard_items = 2
-    #: Operand matrices at least this large move through
-    #: :mod:`multiprocessing.shared_memory` instead of being pickled
-    #: row-shard by row-shard (``transform_shard_shm``): the parent
-    #: publishes one input and one output block, workers attach by name
-    #: and write their rows in place.  Below the threshold the pickle
-    #: path is cheaper than two block creations.
-    min_shm_bytes = 1 << 20
     #: Probe block times per health-check round (seconds).  Rounds
     #: escalate until every worker has answered with a distinct PID;
     #: short early rounds keep the common case cheap.
@@ -299,8 +293,6 @@ class SoftwareMPBackend(SoftwareBackend):
     probe_timeout_s = 60.0
 
     def __init__(self, start_method: Optional[str] = None):
-        import itertools
-
         from repro.engine.resilience import FaultReport
 
         super().__init__()
@@ -316,11 +308,7 @@ class SoftwareMPBackend(SoftwareBackend):
         #: and verification failures over this backend's lifetime.
         self.fault_report = FaultReport()
         self._worker_pids: Tuple[int, ...] = ()
-        # Pool generation: bumped on every (re)build and baked into
-        # shared-memory block names, so a respawned pool can never
-        # collide with a block a dying worker still has attached.
         self._generation = 0
-        self._shm_seq = itertools.count()
 
     # -- pool management ---------------------------------------------------
 
@@ -567,195 +555,6 @@ class SoftwareMPBackend(SoftwareBackend):
                 self._discard_pool()
             pending = failed
         return results
-
-    def transform(
-        self,
-        engine: "Engine",
-        plan: TransformPlan,
-        values: np.ndarray,
-        inverse: bool = False,
-    ) -> np.ndarray:
-        batch = values.shape[0]
-        if self.workers(engine) <= 1 or batch < self.min_shard_items:
-            return super().transform(engine, plan, values, inverse=inverse)
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        shards = self._shards(engine, batch)
-        if values.nbytes >= self.min_shm_bytes:
-            return self._transform_shm(engine, plan, values, inverse, shards)
-        from repro.engine import faultinject
-        from repro.engine import mp as mp_workers
-
-        def submit_one(pool, index: int):
-            return pool.submit(
-                mp_workers.transform_shard,
-                plan.n,
-                plan.radices,
-                values[shards[index]],
-                inverse,
-                plan.twist,
-                plan.ordering,
-                faultinject.directive_for_shard(index),
-            )
-
-        def inline_one(index: int):
-            return SoftwareBackend.transform(
-                self, engine, plan, values[shards[index]], inverse=inverse
-            )
-
-        results = self._run_supervised(
-            engine, len(shards), submit_one, inline_one, "transform"
-        )
-        pieces = []
-        for index in range(len(shards)):
-            rows_out = results[index]
-            if faultinject.should_corrupt(index):
-                rows_out = faultinject.corrupt_result(rows_out)
-            pieces.append(rows_out)
-        result = np.concatenate(pieces, axis=0)
-        if engine.config.verify_shards:
-            self._verify_transform_shards(
-                engine, plan, values, inverse, shards, result
-            )
-        return result
-
-    def _create_block(self, nbytes: int):
-        """A parent-owned shared-memory block with a generation-tagged
-        name (``repro-mp-<pid>-g<generation>-<seq>``).
-
-        Deterministic names make leak checks trivial (anything matching
-        ``repro-mp-*`` in ``/dev/shm`` after a run is a bug) and the
-        generation tag guarantees a respawned pool's fresh blocks never
-        reuse a name some dying worker of a previous generation still
-        has attached.
-        """
-        from multiprocessing import shared_memory
-
-        while True:
-            name = (
-                f"repro-mp-{os.getpid()}-g{self._generation}"
-                f"-{next(self._shm_seq)}"
-            )
-            try:
-                return shared_memory.SharedMemory(
-                    name=name, create=True, size=nbytes
-                )
-            except FileExistsError:  # pragma: no cover - stale leftover
-                continue
-
-    def _transform_shm(
-        self,
-        engine: "Engine",
-        plan: TransformPlan,
-        values: np.ndarray,
-        inverse: bool,
-        shards: List[slice],
-    ) -> np.ndarray:
-        """Shared-memory row transfer: pickle names and bounds, not rows.
-
-        The parent owns both blocks (created here, unlinked in the
-        ``finally`` below — no exception, injected kill or timeout can
-        strand a ``/dev/shm`` block); workers attach by name, transform
-        their row range and write results straight into the output
-        block, so a ``(batch, 64K)`` operand matrix crosses the process
-        boundary zero times.  The blocks outlive any pool respawn
-        inside this call, so replayed shards simply overwrite their own
-        rows.
-        """
-        from repro.engine import faultinject
-        from repro.engine import mp as mp_workers
-
-        shm_in = self._create_block(values.nbytes)
-        try:
-            shm_out = self._create_block(values.nbytes)
-            try:
-                src = np.ndarray(
-                    values.shape, dtype=np.uint64, buffer=shm_in.buf
-                )
-                np.copyto(src, values)
-                out = np.ndarray(
-                    values.shape, dtype=np.uint64, buffer=shm_out.buf
-                )
-
-                def submit_one(pool, index: int):
-                    rows = shards[index]
-                    return pool.submit(
-                        mp_workers.transform_shard_shm,
-                        shm_in.name,
-                        shm_out.name,
-                        values.shape,
-                        rows.start,
-                        rows.stop,
-                        plan.n,
-                        plan.radices,
-                        inverse,
-                        plan.twist,
-                        plan.ordering,
-                        faultinject.directive_for_shard(index),
-                    )
-
-                def inline_one(index: int):
-                    rows = shards[index]
-                    out[rows] = SoftwareBackend.transform(
-                        self, engine, plan, values[rows], inverse=inverse
-                    )
-                    return rows.start, rows.stop
-
-                self._run_supervised(
-                    engine,
-                    len(shards),
-                    submit_one,
-                    inline_one,
-                    "transform-shm",
-                )
-                for index, rows in enumerate(shards):
-                    if faultinject.should_corrupt(index):
-                        out[rows.start, 0] ^= np.uint64(1)
-                if engine.config.verify_shards:
-                    self._verify_transform_shards(
-                        engine, plan, values, inverse, shards, out
-                    )
-                result = out.copy()
-            finally:
-                shm_out.close()
-                shm_out.unlink()
-        finally:
-            shm_in.close()
-            shm_in.unlink()
-        return result
-
-    def _verify_transform_shards(
-        self,
-        engine: "Engine",
-        plan: TransformPlan,
-        values: np.ndarray,
-        inverse: bool,
-        shards: List[slice],
-        result: np.ndarray,
-    ) -> None:
-        """Spot-check the first row of every shard against the oracle."""
-        from repro.engine.resilience import ShardVerificationError
-
-        for index, rows in enumerate(shards):
-            first = rows.start
-            oracle = SoftwareBackend.transform(
-                self,
-                engine,
-                plan,
-                values[first : first + 1],
-                inverse=inverse,
-            )
-            if not np.array_equal(result[first : first + 1], oracle):
-                self.fault_report.record(
-                    "shard-corruption",
-                    f"transform shard {index} (row {first}) failed its "
-                    f"in-process oracle spot-check",
-                    shards=(index,),
-                )
-                raise ShardVerificationError(
-                    f"transform shard {index} (row {first}) does not "
-                    f"match the in-process oracle — corrupted shard "
-                    f"result detected before reassembly was trusted"
-                )
 
     def multiply_many(
         self,

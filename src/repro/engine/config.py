@@ -66,12 +66,12 @@ class ExecutionConfig:
         recorded in the backend's
         :class:`~repro.engine.resilience.FaultReport`.
     verify_shards:
-        ``software-mp`` spot-check: after reassembling a sharded batch,
-        re-run the first row/product of every shard on the in-process
-        ``software`` oracle and raise
+        ``software-mp`` spot-check: after reassembling a sharded product
+        batch, re-run the first product of every shard on the
+        in-process ``software`` oracle and raise
         :class:`~repro.engine.resilience.ShardVerificationError` on any
         mismatch instead of returning silently wrong values.  Costs one
-        extra row/product per shard; off by default.
+        extra product per shard; off by default.
 
     A config is hashable and pickle-stable: a config shipped to a
     ``software-mp`` worker process reconstructs the *same* engine, and

@@ -326,8 +326,8 @@ class Engine:
           permutation-free pair is safe end to end.  The scheme is also
           bound to this engine's compute backend, so every ring product
           (encryption masks, plaintext products, tensor/relinearization
-          passes) shards on ``software-mp`` and is cycle-counted on
-          ``hw-model``.
+          passes) is cycle-counted on ``hw-model``; on ``software`` and
+          ``software-mp`` alike it runs on the caller's thread.
 
         Both return types implement the
         :class:`repro.fhe.ops.HEScheme` protocol.

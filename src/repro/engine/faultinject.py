@@ -187,20 +187,10 @@ def should_corrupt(index: int) -> bool:
     return plan.should_corrupt(index) if plan is not None else False
 
 
-def corrupt_result(result):
-    """Flip the lowest bit of the first element of a shard result.
-
-    Returns a corrupted *copy* for lists and numpy arrays alike; the
-    original object is never mutated (shared-memory rows are corrupted
-    in place by the caller instead).
-    """
-    import numpy as np
-
-    if isinstance(result, np.ndarray):
-        corrupted = result.copy()
-        corrupted.flat[0] = corrupted.flat[0] ^ type(corrupted.flat[0])(1)
-        return corrupted
-    corrupted: List[int] = list(result)
+def corrupt_result(result: List[int]) -> List[int]:
+    """A copy of a shard's products with the first one's lowest bit
+    flipped; the original list is never mutated."""
+    corrupted = list(result)
     corrupted[0] ^= 1
     return corrupted
 

@@ -21,11 +21,13 @@ products (:class:`RLWEMultiplyPlainJob`, :class:`RLWEMultiplyJob`).
 Jobs execute **in submission order**
 on one dispatcher thread that owns the engine — the engine's caches
 are never raced — while intra-job parallelism comes from the engine's
-compute backend (``software-mp`` shards each job's batch axis across
-worker processes).  While jobs are in flight, route further compute on
-that engine through the queue too (engine caches and hw-model stage
-buffers are unsynchronized; only report slots are per-thread) — the
-caller's own non-engine work overlaps freely.
+compute backend (``software`` splits big SSA product batches over
+threads, ``software-mp`` shards them across worker processes; ring
+transforms run on the dispatcher thread).  While jobs are in flight,
+route further compute on that engine through the queue too (engine
+caches and hw-model stage buffers are unsynchronized; only report
+slots are per-thread) — the caller's own non-engine work overlaps
+freely.
 
 The job types are also the op vocabulary of :mod:`repro.serve`
 (:data:`JOB_TYPES` maps each wire op name to its type).  Besides
@@ -638,8 +640,8 @@ class RLWEMultiplyJob(Job):
     One tensor pass + one relinearization pass over the whole batch,
     bit-identical to :meth:`repro.fhe.rlwe.RLWE.multiply_many` on a
     scheme bound to the engine (every ring product rides the engine's
-    batch axis — sharded on ``software-mp``, cycle-counted on
-    ``hw-model``).  ``relin`` is the evaluator-side
+    batch axis — cycle-counted on ``hw-model``, in-process on
+    ``software`` and ``software-mp``).  ``relin`` is the evaluator-side
     :class:`repro.fhe.rlwe.RelinKeys`; a full ``RLWEKeyPair`` is
     reduced to them, so the secret never enters the job.
 
@@ -816,7 +818,7 @@ class JobScheduler:
     immediately and overlap their own work (or further submissions)
     with the compute.  Parallelism *within* a job comes from the
     engine's backend; pair the scheduler with ``software-mp`` to shard
-    each job's batch axis across worker processes.
+    each job's SSA products across worker processes.
     """
 
     def __init__(

@@ -61,8 +61,9 @@ single-modulus mode, per-channel RNS decomposition otherwise), BGV
 modulus switching (:meth:`RLWE.mod_switch`) for noise management, and
 a ``noise_budget`` query.  An :class:`RLWE` instance bound to an
 :class:`repro.engine.Engine` routes every ring product through the
-engine's compute backend, so the same pipeline runs sharded on
-``software-mp`` and cycle-counted on ``hw-model`` — bit-identically.
+engine's compute backend, so the same pipeline runs cycle-counted on
+``hw-model`` and in-process on ``software`` and ``software-mp`` (whose
+worker pool takes SSA products only) — bit-identically.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ class RLWEParams:
     mode (RNS mode decomposes per channel instead).
 
     Frozen, hashable and pickle-stable like
-    :class:`repro.engine.config.ExecutionConfig`, so ``software-mp``
-    workers and ``repro.serve`` coalesce keys can carry it.
+    :class:`repro.engine.config.ExecutionConfig`, so ``repro.serve``
+    coalesce keys can carry it.
     """
 
     n: int = 1024
@@ -441,8 +442,9 @@ class RLWE:
 
     The preferred constructor is :meth:`repro.engine.Engine.fhe`, which
     binds the scheme to the engine's fused, permutation-free negacyclic
-    plan *and* to its compute backend — ring products then shard on
-    ``software-mp`` and are cycle-counted on ``hw-model``.  A free
+    plan *and* to its compute backend — ring products are then
+    cycle-counted on ``hw-model`` and run on the caller's thread on
+    ``software`` and ``software-mp``.  A free
     instance (no engine) runs the module-level convolution helpers on
     the process-global plan cache; all routes are bit-identical.
     """
@@ -487,9 +489,9 @@ class RLWE:
         """One batched (inverse) negacyclic transform, engine-routed.
 
         Bound schemes dispatch through ``engine._transform`` so the
-        backend sees the pass (sharded on ``software-mp``,
-        cycle-counted on ``hw-model``); free schemes run the module
-        helpers on ``self.plan`` (default: the fused decimated plan).
+        backend sees the pass (cycle-counted on ``hw-model``); free
+        schemes run the module helpers on ``self.plan`` (default: the
+        fused decimated plan).
         """
         if self.engine is not None and self.plan is not None:
             return self.engine._transform(self.plan, rows, inverse=inverse)

@@ -23,14 +23,10 @@ Quickstart (in-process)::
         assert response.result == [15, 77]
 
 Over TCP: ``repro serve --port 7100`` and ``repro client submit ...``,
-or :class:`TCPServiceClient` / :class:`AsyncServiceClient`.
+or :class:`TCPServiceClient`.
 """
 
-from repro.serve.client import (
-    AsyncServiceClient,
-    ServiceClient,
-    TCPServiceClient,
-)
+from repro.serve.client import ServiceClient, TCPServiceClient
 from repro.serve.metrics import MetricsRegistry, render_stats
 from repro.serve.ops import decode_op
 from repro.serve.protocol import (
@@ -57,7 +53,6 @@ __all__ = [
     "run_server",
     "ServiceClient",
     "TCPServiceClient",
-    "AsyncServiceClient",
     "ServiceConfig",
     "ServiceScheduler",
     "MetricsRegistry",

@@ -16,9 +16,9 @@ before trusting any number the library prints:
 8. a DGHV encrypt–evaluate–decrypt roundtrip;
 9. the Engine façade: ``software`` vs ``hw-model`` backend products
    bit-identical, ring scalar/batch polymorphism consistent;
-10. the jobs layer: ``software-mp`` sharded products and transforms
-    bit-identical to ``software``, ``JobScheduler`` submit/map
-    ordering intact;
+10. the jobs layer: ``software-mp`` sharded products and its
+    in-process ring transforms bit-identical to ``software``,
+    ``JobScheduler`` submit/map ordering intact;
 11. fused negacyclic plans (ψ-twist folded into stage constants)
     bit-identical to the big-integer convolution oracle, on every
     stage kernel this host runs and through the hw-model ring;

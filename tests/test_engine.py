@@ -31,7 +31,7 @@ from repro.engine.backends import MIN_THREAD_SHARD, SoftwareBackend
 from repro.field.solinas import P
 from repro.fhe.ops import he_mult
 from repro.fhe.params import TOY
-from repro.fhe.rlwe import RLWE, RLWEParams
+from repro.fhe.rlwe import RLWE, RLWEParams, default_rns_primes
 from repro.ntt.convolution import cyclic_convolution
 from repro.ntt.kernels import (
     KERNEL_COMPILED,
@@ -573,6 +573,53 @@ class TestSoftwareThreads:
         worker = mp._engine()
         assert worker.backend.name == SOFTWARE
         assert worker.backend.workers(worker) == 1
+
+
+class TestSoftwareMPBoundary:
+    """``software-mp`` shards SSA products only: ring transforms and
+    RLWE circuits run on the caller's thread and build no pool."""
+
+    def test_ring_work_stays_in_process_and_products_shard(self):
+        rows = _rows(np.random.default_rng(67), 4, 1024)
+        params = RLWEParams(
+            n=256,
+            t=17,
+            noise_bound=4,
+            rns_primes=default_rns_primes(256, 17, 2),
+        )
+        rng = random.Random(67)
+        messages = [[rng.randrange(17) for _ in range(256)] for _ in range(4)]
+        software = Engine()
+        engine = Engine(
+            config=ExecutionConfig(workers=2), backend="software-mp"
+        )
+        try:
+            assert np.array_equal(
+                engine.ring(1024).forward(rows),
+                software.ring(1024).forward(rows),
+            )
+            assert engine.backend.pool_generation == 0
+            products = []
+            for bound in (software, engine):
+                scheme = bound.fhe(params, rng=random.Random(71))
+                keys = scheme.keygen()
+                cts = scheme.encrypt_many(keys, messages)
+                products.append(
+                    scheme.multiply_many(
+                        keys.relin, list(zip(cts[:2], cts[2:]))
+                    )
+                )
+            for want, got in zip(*products):
+                assert np.array_equal(want.c0, got.c0)
+                assert np.array_equal(want.c1, got.c1)
+            assert engine.backend.pool_generation == 0
+            a = [rng.getrandbits(4096) for _ in range(4)]
+            b = [rng.getrandbits(4096) for _ in range(4)]
+            assert engine.multiply(a, b) == [x * y for x, y in zip(a, b)]
+            assert engine.backend.pool_generation == 1
+            assert len(engine.backend.worker_pids) == 2
+        finally:
+            engine.close()
 
 
 def m_params():

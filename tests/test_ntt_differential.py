@@ -375,9 +375,9 @@ def entry_rlwe(case):
 
 
 #: Module functions run ``direct``; engine-routed entry points run on
-#: each backend, ``software-mp`` over both row transfers.
+#: each backend.
 DIRECT = ("direct",)
-ENGINE = ("software", "software-mp", "software-mp-shm", "hw-model")
+ENGINE = ("software", "software-mp", "hw-model")
 CONVOLUTIONS = ("many", "broadcast", "flat")
 #: entry point -> (function, ring flavours, backends, call shapes)
 ENTRY_POINTS = {
@@ -400,12 +400,11 @@ ENTRY_POINTS = {
 
 @pytest.fixture(scope="module")
 def engines():
-    """One engine per backend; the mp engine serves both transfers."""
+    """One engine per backend."""
     mp = Engine(config=ExecutionConfig(workers=2), backend="software-mp")
     built = {
         "software": Engine(),
         "software-mp": mp,
-        "software-mp-shm": mp,
         "hw-model": Engine(backend="hw-model"),
     }
     yield built
@@ -449,13 +448,7 @@ def test_entry_point_matches_reference(engines, name, backend, data):
         seed=seed,
         engine=None if backend == "direct" else engines[backend],
     )
-    if backend == "software-mp-shm":  # every row matrix through a block
-        case.engine.backend.min_shm_bytes = 0
-    try:
-        check(case)
-    finally:
-        if backend == "software-mp-shm":
-            del case.engine.backend.min_shm_bytes
+    check(case)
 
 
 @pytest.mark.parametrize("flavour", ["cyclic", "negacyclic"])

@@ -362,44 +362,24 @@ class TestBackendIdentity:
             got = engine.ring(n).convolve(a, b, negacyclic=negacyclic)
             assert np.array_equal(got, want), (backend, config)
 
-    def test_software_mp_shared_memory_transfers(self):
-        rng = np.random.default_rng(31)
-        n, batch = 2048, 32
-        a, b = _rows(rng, batch, n), _rows(rng, batch, n)
-        software = Engine()
-        mp_engine = Engine(
-            config=ExecutionConfig(workers=2), backend="software-mp"
-        )
-        try:
-            # convolve concatenates both operands: (64, 2048) rows of
-            # uint64 = 1 MiB, exactly the shared-memory threshold.
-            assert (
-                2 * batch * n * 8 >= mp_engine.backend.min_shm_bytes
-            )
-            assert np.array_equal(
-                mp_engine.ring(n).convolve(a, b),
-                software.ring(n).convolve(a, b),
-            )
-            assert np.array_equal(
-                mp_engine.ring(n).convolve(a, b, negacyclic=True),
-                software.ring(n).convolve(a, b, negacyclic=True),
-            )
-        finally:
-            mp_engine.close()
-
     def test_software_mp_small_batches_below_threshold(self):
-        rng = np.random.default_rng(37)
-        n = 128
-        a, b = _rows(rng, 4, n), _rows(rng, 4, n)
         software = Engine()
         mp_engine = Engine(
             config=ExecutionConfig(workers=2), backend="software-mp"
         )
         try:
-            assert np.array_equal(
-                mp_engine.ring(n).convolve(a, b),
-                software.ring(n).convolve(a, b),
-            )
+            for seed, batch, n in ((37, 4, 128), (31, 32, 2048)):
+                rng = np.random.default_rng(seed)
+                a, b = _rows(rng, batch, n), _rows(rng, batch, n)
+                for negacyclic in (False, True):
+                    assert np.array_equal(
+                        mp_engine.ring(n).convolve(
+                            a, b, negacyclic=negacyclic
+                        ),
+                        software.ring(n).convolve(
+                            a, b, negacyclic=negacyclic
+                        ),
+                    ), (batch, n, negacyclic)
         finally:
             mp_engine.close()
 

@@ -17,6 +17,7 @@ import asyncio
 import json
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -48,13 +49,13 @@ from repro.serve import (
     STATUS_OK,
     STATUS_REJECTED,
     STATUS_TIMEOUT,
-    AsyncServiceClient,
     ComputeService,
     ProtocolError,
     Response,
     ServiceClient,
     ServiceConfig,
     ServiceServer,
+    TCPServiceClient,
     decode_op,
 )
 from repro.serve.metrics import percentile
@@ -824,37 +825,41 @@ class TestDrainAndShutdown:
 # -- TCP front end (asyncio) -----------------------------------------------
 
 
+async def _on_client(port, call, **client_kwargs):
+    """Run ``call(client)`` on a fresh :class:`TCPServiceClient`, off the
+    event loop, so the server keeps serving on the test's loop."""
+
+    def run():
+        with TCPServiceClient(port=port, **client_kwargs) as client:
+            client._sock.settimeout(30)  # a lost frame fails, never hangs
+            return call(client)
+
+    return await asyncio.to_thread(run)
+
+
 class TestTCPService:
     def test_concurrent_multi_tenant_clients(self):
         service = _service()
 
+        def pipelined(client):
+            # All 6 requests are in flight before the first wait.
+            ids = [
+                client.send("multiply", {"pairs": [[i + 2, i + 3]]})
+                for i in range(6)
+            ]
+            return [client.wait(request_id) for request_id in ids]
+
         async def scenario():
             server = await ServiceServer(service, port=0).start()
-
-            async def tenant_load(name, count):
-                async with await AsyncServiceClient.connect(
-                    port=server.port, tenant=name
-                ) as client:
-                    responses = await asyncio.gather(
-                        *(
-                            client.submit(
-                                "multiply",
-                                {"pairs": [[i + 2, i + 3]]},
-                            )
-                            for i in range(count)
-                        )
-                    )
-                    return responses
-
             loads = await asyncio.gather(
-                tenant_load("alice", 6),
-                tenant_load("bob", 6),
-                tenant_load("carol", 6),
+                *(
+                    _on_client(server.port, pipelined, tenant=name)
+                    for name in ("alice", "bob", "carol")
+                )
             )
-            async with await AsyncServiceClient.connect(
-                port=server.port
-            ) as client:
-                snapshot = await client.stats()
+            snapshot = await _on_client(
+                server.port, TCPServiceClient.stats
+            )
             server.request_stop()
             await server.serve_until_done()
             return loads, snapshot
@@ -870,6 +875,36 @@ class TestTCPService:
         assert set(snapshot["tenants"]) >= {"alice", "bob", "carol"}
         assert snapshot["totals"]["completed"] == 18
 
+    @pytest.mark.parametrize("control", ["stats", "ping"])
+    def test_control_call_keeps_pipelined_response(self, control):
+        """A ``response`` frame that arrives ahead of the ``stats`` or
+        ``pong`` reply is kept for the later ``wait``."""
+        service = _service()
+
+        def scenario_client(client):
+            request_id = client.send("multiply", {"pairs": [[6, 7]]})
+            # The reply is waiting in the socket before the control call.
+            readable, _, _ = select.select([client._sock], [], [], 30)
+            assert readable
+            if control == "stats":
+                assert client.stats()["totals"]["completed"] == 1
+            else:
+                assert client.ping()
+            return client.wait(request_id)
+
+        async def scenario():
+            server = await ServiceServer(service, port=0).start()
+            response = await _on_client(server.port, scenario_client)
+            server.request_stop()
+            await server.serve_until_done()
+            return response
+
+        try:
+            response = asyncio.run(scenario())
+        finally:
+            service.shutdown()
+        assert response.ok and response.result == [42]
+
     def test_tcp_rlwe_multiply_roundtrip(self):
         """Wire-level smoke: keygen → encrypt → submit rlwe-multiply
         over TCP → decode → decrypt equals the schoolbook product."""
@@ -882,10 +917,11 @@ class TestTCPService:
 
         async def scenario():
             server = await ServiceServer(service, port=0).start()
-            async with await AsyncServiceClient.connect(
-                port=server.port, tenant="tcp-rlwe"
-            ) as client:
-                response = await client.submit("rlwe-multiply", payload)
+            response = await _on_client(
+                server.port,
+                lambda client: client.request("rlwe-multiply", payload),
+                tenant="tcp-rlwe",
+            )
             server.request_stop()
             await server.serve_until_done()
             return response
@@ -918,12 +954,12 @@ class TestTCPService:
 
         async def scenario():
             server = await ServiceServer(service, port=0).start()
-            async with await AsyncServiceClient.connect(
-                port=server.port
-            ) as client:
-                response = await client.submit(
+            response = await _on_client(
+                server.port,
+                lambda client: client.request(
                     "multiply", {"pairs": "nope"}
-                )
+                ),
+            )
             server.request_stop()
             await server.serve_until_done()
             return response
@@ -946,19 +982,18 @@ class TestTCPService:
         ]
         service = _service()
 
+        def requests(client):
+            rejected = [
+                client.request("rlwe-multiply", bad) for bad in bad_payloads
+            ]
+            return rejected, client.request("rlwe-multiply", payload)
+
         async def scenario():
             server = await ServiceServer(service, port=0).start()
-            async with await AsyncServiceClient.connect(
-                port=server.port
-            ) as client:
-                rejected = [
-                    await client.submit("rlwe-multiply", bad)
-                    for bad in bad_payloads
-                ]
-                accepted = await client.submit("rlwe-multiply", payload)
+            result = await _on_client(server.port, requests)
             server.request_stop()
             await server.serve_until_done()
-            return rejected, accepted
+            return result
 
         try:
             rejected, accepted = asyncio.run(scenario())
@@ -988,12 +1023,12 @@ class TestTCPService:
             await writer.drain()
             reply = await asyncio.wait_for(read_frame(reader), 30)
             writer.close()
-            async with await AsyncServiceClient.connect(
-                port=server.port
-            ) as client:
-                after = await asyncio.wait_for(
-                    client.submit("multiply", {"pairs": [[6, 7]]}), 30
-                )
+            after = await _on_client(
+                server.port,
+                lambda client: client.request(
+                    "multiply", {"pairs": [[6, 7]]}
+                ),
+            )
             server.request_stop()
             await server.serve_until_done()
             return reply, after
@@ -1018,18 +1053,18 @@ class TestTCPService:
             server = await ServiceServer(
                 service, port=0, max_requests=2
             ).start()
-            async with await AsyncServiceClient.connect(
-                port=server.port
-            ) as client:
-                big = await asyncio.wait_for(
-                    client.submit("multiply", {"pairs": [[a, b]]}), 30
-                )
-            async with await AsyncServiceClient.connect(
-                port=server.port
-            ) as client:
-                after = await asyncio.wait_for(
-                    client.submit("multiply", {"pairs": [[6, 7]]}), 30
-                )
+            big = await _on_client(
+                server.port,
+                lambda client: client.request(
+                    "multiply", {"pairs": [[a, b]]}
+                ),
+            )
+            after = await _on_client(
+                server.port,
+                lambda client: client.request(
+                    "multiply", {"pairs": [[6, 7]]}
+                ),
+            )
             # Both requests counted: max_requests=2 stops the server.
             await asyncio.wait_for(server.serve_until_done(), 30)
             return big, after
