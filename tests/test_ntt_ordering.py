@@ -362,24 +362,44 @@ class TestBackendIdentity:
             got = engine.ring(n).convolve(a, b, negacyclic=negacyclic)
             assert np.array_equal(got, want), (backend, config)
 
-    def test_software_mp_small_batches_below_threshold(self):
+    def test_software_mp_shared_memory_transfers(self):
+        rng = np.random.default_rng(31)
+        n, batch = 2048, 32
+        a, b = _rows(rng, batch, n), _rows(rng, batch, n)
         software = Engine()
         mp_engine = Engine(
             config=ExecutionConfig(workers=2), backend="software-mp"
         )
         try:
-            for seed, batch, n in ((37, 4, 128), (31, 32, 2048)):
-                rng = np.random.default_rng(seed)
-                a, b = _rows(rng, batch, n), _rows(rng, batch, n)
-                for negacyclic in (False, True):
-                    assert np.array_equal(
-                        mp_engine.ring(n).convolve(
-                            a, b, negacyclic=negacyclic
-                        ),
-                        software.ring(n).convolve(
-                            a, b, negacyclic=negacyclic
-                        ),
-                    ), (batch, n, negacyclic)
+            # convolve concatenates both operands into (64, 2048) rows
+            # of uint64 = 1 MiB.  Ring transforms on software-mp run on
+            # the caller's thread, so even this size moves nothing
+            # between processes and builds no worker pool.
+            assert np.array_equal(
+                mp_engine.ring(n).convolve(a, b),
+                software.ring(n).convolve(a, b),
+            )
+            assert np.array_equal(
+                mp_engine.ring(n).convolve(a, b, negacyclic=True),
+                software.ring(n).convolve(a, b, negacyclic=True),
+            )
+            assert mp_engine.backend.pool_generation == 0
+        finally:
+            mp_engine.close()
+
+    def test_software_mp_small_batches_below_threshold(self):
+        rng = np.random.default_rng(37)
+        n = 128
+        a, b = _rows(rng, 4, n), _rows(rng, 4, n)
+        software = Engine()
+        mp_engine = Engine(
+            config=ExecutionConfig(workers=2), backend="software-mp"
+        )
+        try:
+            assert np.array_equal(
+                mp_engine.ring(n).convolve(a, b),
+                software.ring(n).convolve(a, b),
+            )
         finally:
             mp_engine.close()
 
