@@ -55,6 +55,7 @@ from repro.fhe.rlwe import (  # noqa: E402
     RLWEParams,
     default_rns_primes,
 )
+from repro.ntt.kernels import default_kernel  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_rlwe_pipeline.json"
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
@@ -497,6 +498,7 @@ def run_suite(smoke: bool, repeats: Optional[int], seed: int) -> dict:
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "kernel": default_kernel(),
         },
         "config": {
             "t": PLAINTEXT_T,

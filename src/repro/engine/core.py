@@ -330,7 +330,10 @@ class Engine:
           ``software-mp`` alike it runs on the caller's thread.
 
         Both return types implement the
-        :class:`repro.fhe.ops.HEScheme` protocol.
+        :class:`repro.fhe.ops.HEScheme` protocol.  ``rng`` is the
+        scheme's randomness: a seeded ``random.Random`` makes
+        reproducible keys and ciphertexts, and ``None`` draws from
+        ``random.SystemRandom``.
         """
         from repro.fhe.dghv import DGHV
         from repro.fhe.params import FHEParams, TOY

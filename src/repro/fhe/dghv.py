@@ -90,7 +90,9 @@ class DGHV:
         multiplication; defaults to Python's built-in product.
     rng:
         Source of randomness (``random.Random``), injectable for
-        reproducible tests.
+        reproducible tests; ``None`` draws from ``random.SystemRandom``,
+        since the Mersenne Twister's state can be rebuilt from its
+        outputs.
     """
 
     def __init__(
@@ -102,7 +104,7 @@ class DGHV:
         params.validate()
         self.params = params
         self.multiplier = multiplier or (lambda a, b: a * b)
-        self.rng = rng or random.Random()
+        self.rng = rng or random.SystemRandom()
 
     # -- key generation ----------------------------------------------------
 

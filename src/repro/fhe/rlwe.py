@@ -51,7 +51,20 @@ with ``m ∈ Z_t[x]/(x^n + 1)``.  Decryption lifts the phase to its
 centered representative and reduces mod ``t``; homomorphic operations
 are then *pure ring arithmetic* — no rational rounding — which is what
 lets ciphertext-by-ciphertext multiplication run on the integer NTT
-datapath.
+datapath.  In RNS mode that lift is exact and vectorized: Garner's
+mixed-radix digits of the channel residues, in ``uint64``, give the
+sign (compared digit by digit with ``⌊q/2⌋``), the value mod ``t`` and
+the exact magnitude ``noise_budget`` reports.
+
+Randomness: every secret, uniform and noise coefficient is one
+``rng._randbelow(bound)`` draw — what ``choice((−1, 0, 1))``,
+``randrange(q)`` and ``randint(−B, B)`` make — taken in bulk from
+``rng.getrandbits`` by :func:`_randbelow_rows`, which replays the
+per-call stream bit for bit.  A seeded ``random.Random`` therefore
+gives the same keys and ciphertexts as a per-coefficient loop; an
+unseeded scheme draws from ``random.SystemRandom``, because the
+Mersenne Twister's state can be rebuilt from its outputs and every
+ciphertext publishes its uniform ``c1``.
 
 Supported operations: ``keygen``/``encrypt``/``decrypt`` (and batched
 ``*_many`` forms), homomorphic addition, plaintext products,
@@ -70,6 +83,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -118,6 +132,71 @@ def _centered_field(rows: np.ndarray, primes: np.ndarray) -> np.ndarray:
     maps to ``r − q + p``."""
     q = primes.astype(np.uint64)
     return np.where(rows > q >> np.uint64(1), rows + (np.uint64(P) - q), rows)
+
+
+def _attempts(rng: random.Random, bits: int, count: int) -> np.ndarray:
+    """``count`` successive ``rng.getrandbits(bits)`` values (``bits ≤
+    64``), from one call.
+
+    CPython makes each of them from one 32-bit Mersenne Twister word
+    shifted right by ``32 − bits``, or above 32 bits from a full low
+    word and a high word shifted by ``64 − bits``; ``getrandbits(32·m)``
+    returns ``m`` words, least significant first.
+    """
+    if bits > 64:
+        raise ValueError("draws are limited to bounds below 2^64")
+    words = 1 if bits <= 32 else 2
+    raw = rng.getrandbits(32 * words * count).to_bytes(4 * words * count, "little")
+    if words == 1:
+        return np.frombuffer(raw, dtype="<u4") >> np.uint32(32 - bits)
+    pairs = np.frombuffer(raw, dtype="<u8")  # high word << 32 | low word
+    high = (pairs >> np.uint64(96 - bits)) << np.uint64(32)
+    return high | (pairs & np.uint64(0xFFFFFFFF))
+
+
+def _randbelow_rows(
+    rng: random.Random, bounds: Sequence[int], n: int
+) -> np.ndarray:
+    """``(len(bounds), n)`` uint64 rows of ``rng._randbelow(bound)``
+    draws, row after row — bit for bit what a per-call loop makes.
+
+    ``_randbelow`` retries ``getrandbits(bound.bit_length())`` until the
+    value is below ``bound``.  Each round here draws one attempt per
+    value still missing (from the rows whose bounds share a bit length)
+    in one :func:`_attempts` call, and hands the attempts to the rows in
+    order, each keeping those below its bound until it is full.  A
+    round never draws past where the loop would stop, so the values and
+    the generator's state afterwards are the loop's.  A bound of bit
+    length ``k`` is at least ``2^(k−1)``, so it keeps at least half of
+    its attempts on average: a window of three times the missing count
+    almost always completes a row, and only a short one falls back to
+    the rest of the round.
+    """
+    bounds = [int(bound) for bound in bounds]
+    out = np.empty((len(bounds), n), dtype=np.uint64)
+    row = filled = 0
+    while row < len(bounds):
+        bits = bounds[row].bit_length()
+        run = row + 1
+        while run < len(bounds) and bounds[run].bit_length() == bits:
+            run += 1
+        attempts = _attempts(rng, bits, (run - row) * n - filled)
+        start = 0
+        while start < len(attempts):
+            bound, want = bounds[row], n - filled
+            window = attempts[start : start + 3 * want]
+            kept = np.flatnonzero(window < bound)
+            if len(kept) < want:
+                window = attempts[start:]
+                kept = np.flatnonzero(window < bound)
+            kept = kept[:want]
+            out[row, filled : filled + len(kept)] = window[kept]
+            if len(kept) < want:  # this round's attempts are spent
+                filled += len(kept)
+                break
+            start += int(kept[-1]) + 1
+            row, filled = row + 1, 0
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -201,7 +280,7 @@ class RLWEParams:
             )
 
     def validate(self) -> None:
-        if self.n & (self.n - 1):
+        if self.n < 1 or self.n & (self.n - 1):
             raise ValueError("ring dimension must be a power of two")
         if not 2 <= self.t < 1 << 32:
             raise ValueError("plaintext modulus out of range")
@@ -462,7 +541,15 @@ class RLWE:
         both consults the module-global plan cache per convolution,
         which resolves to the fused decimated plan; passing an unfused
         cyclic plan pins the explicit-twist oracle route instead — all
-        routes are bit-identical."""
+        routes are bit-identical.
+
+        ``rng`` (optional) supplies every secret, uniform and noise
+        coefficient through ``rng.getrandbits``, in bulk but in the
+        order and with the values of per-coefficient
+        ``choice``/``randrange``/``randint`` calls (see
+        :func:`_randbelow_rows`), so a seeded ``random.Random`` makes
+        reproducible keys and ciphertexts.  ``None`` draws from
+        ``random.SystemRandom``."""
         params.validate()
         if engine is not None and plan is None:
             plan = decimated_companion(
@@ -473,7 +560,7 @@ class RLWE:
                 f"plan is {plan.n}-point but the ring dimension is {params.n}"
             )
         self.params = params
-        self.rng = rng or random.Random()
+        self.rng = rng or random.SystemRandom()
         self.plan = plan
         self.engine = engine
         #: The modulus chain: the RNS primes, or the one prime ``p``.
@@ -540,13 +627,68 @@ class RLWE:
             return rows.reshape(count, self.params.n)
         return rows.reshape(count, -1, self.params.n)
 
-    def _lift(self, phase: np.ndarray, level: int) -> np.ndarray:
-        """Stacked phases as centered integers, one row per ciphertext:
-        the vectorized lift from ``GF(p)`` (``int64``), or the CRT of
-        ``level`` channels (Python ints, since ``q`` outgrows 64 bits)."""
+    def _crt_digits(
+        self, phase: np.ndarray, level: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked RNS phases as Garner's mixed-radix digits, exactly,
+        and where each centered value is negative.
+
+        The ``(level, batch, n)`` uint64 digits satisfy
+        ``x = v_0 + v_1·q_0 + v_2·q_0·q_1 + …`` with ``0 ≤ v_i < q_i``
+        for the CRT integer ``x ∈ [0, q)``.  Every intermediate is a
+        product of two values below some chain prime plus one more such
+        value, and validate()'s ``n·(q_i − 1)² ≤ (p − 1)/2`` keeps that
+        below ``2^64``.  ``x`` is negative when centered if it exceeds
+        ``⌊q/2⌋``: decided at the most significant digit where the two
+        differ.
+        """
+        primes = self.params.rns_primes[:level]
+        residues = phase.reshape(-1, level, self.params.n).swapaxes(0, 1)
+        digits = np.empty_like(residues)
+        for i, q in enumerate(primes):
+            modulus = np.uint64(q)
+            lower = np.zeros_like(residues[0])  # the lower digits' value mod q_i
+            for j in reversed(range(i)):
+                lower = (lower * np.uint64(primes[j] % q) + digits[j]) % modulus
+            scale = np.uint64(pow(math.prod(primes[:i]) % q, -1, q))
+            digits[i] = (residues[i] + (modulus - lower)) % modulus * scale % modulus
+        half = self.params.modulus(level) >> 1
+        negative = np.zeros(digits.shape[1:], dtype=bool)
+        tied = np.ones_like(negative)
+        for i in reversed(range(level)):
+            half_digit = half // math.prod(primes[:i]) % primes[i]
+            negative |= tied & (digits[i] > half_digit)
+            tied &= digits[i] == half_digit
+        return digits, negative
+
+    def _plain(self, phase: np.ndarray, level: int) -> np.ndarray:
+        """Stacked phases' centered representatives mod ``t``, one row
+        per ciphertext — exact for every residue input."""
+        t = self.params.t
         if not self.params.is_rns:
-            return _centered_lift(phase)
-        return self._crt_lift(phase, level)
+            return _centered_lift(phase) % t
+        primes = self.params.rns_primes[:level]
+        digits, negative = self._crt_digits(phase, level)
+        # x = v_0 + q_0·(v_1 + q_1·(v_2 + …)) mod t; t < 2^32, so
+        # every product stays below 2^64.
+        value = np.zeros(negative.shape, dtype=np.uint64)
+        for i in reversed(range(level)):
+            value = (value * np.uint64(primes[i] % t) + digits[i] % t) % t
+        shift = np.uint64(t - self.params.modulus(level) % t)
+        return np.where(negative, (value + shift) % t, value)
+
+    def _magnitude(self, phase: np.ndarray, level: int) -> int:
+        """The largest absolute centered value among stacked phases,
+        exactly (a Python int, since ``q`` outgrows 64 bits)."""
+        if not self.params.is_rns:
+            return int(np.abs(_centered_lift(phase)).max())
+        primes = self.params.rns_primes[:level]
+        digits, negative = self._crt_digits(phase, level)
+        x = sum(
+            digits[i].astype(object) * math.prod(primes[:i])
+            for i in range(level)
+        )
+        return int(np.where(negative, self.params.modulus(level) - x, x).max())
 
     @staticmethod
     def _secret_for(key) -> np.ndarray:
@@ -563,40 +705,27 @@ class RLWE:
         as a canonical mod-``p`` field vector (legacy single-modulus
         shape; prefer :meth:`keygen`, which also builds the
         relinearization keys)."""
-        return to_field_array(
-            [self.rng.choice((-1, 0, 1)) for _ in range(self.params.n)]
-        )
+        return to_field_matrix(self._ternary().reshape(1, -1))[0]
 
     def _ternary(self) -> np.ndarray:
-        return np.array(
-            [self.rng.choice((-1, 0, 1)) for _ in range(self.params.n)],
-            dtype=np.int64,
-        )
+        """Signed ternary coefficients, each ``choice((−1, 0, 1))``."""
+        draws = _randbelow_rows(self.rng, (3,), self.params.n)[0]
+        return draws.astype(np.int64) - 1
 
     def _noise_signed(self, count: int = 1) -> np.ndarray:
+        """``(count, n)`` noise rows, each coefficient
+        ``randint(−B, B)``."""
         bound = self.params.noise_bound
-        return np.array(
-            [
-                [
-                    self.rng.randint(-bound, bound)
-                    for _ in range(self.params.n)
-                ]
-                for _ in range(count)
-            ],
-            dtype=np.int64,
-        )
+        draws = _randbelow_rows(self.rng, (2 * bound + 1,) * count, self.params.n)
+        return draws.astype(np.int64) - bound
 
     def _uniform(self, level: int, count: int = 1) -> np.ndarray:
         """``(count·level, n)`` uniform residue rows: ``count`` elements
         of ``Z_q``, one row per channel each (a uniform element of
-        ``Z_q`` *is* independent uniform residues per channel)."""
-        return np.array(
-            [
-                [self.rng.randrange(q) for _ in range(self.params.n)]
-                for _ in range(count)
-                for q in self._chain[:level]
-            ],
-            dtype=np.uint64,
+        ``Z_q`` *is* independent uniform residues per channel), each
+        coefficient ``randrange(q_j)``."""
+        return _randbelow_rows(
+            self.rng, self._chain[:level] * count, self.params.n
         )
 
     def keygen(self) -> RLWEKeyPair:
@@ -616,14 +745,12 @@ class RLWE:
         if not params.is_rns:
             digits = -(-64 // params.relin_base)  # ceil(64 / base)
             a_rows = self._uniform(1, digits)
-            noises = self._noise_signed(digits)
+            t_noises = to_field_matrix(params.t * self._noise_signed(digits))
             a_s = self._conv_broadcast(a_rows, s_field)
             keys = []
             for j in range(digits):
                 body = vadd(
-                    to_field_array(
-                        [params.t * int(e) for e in noises[j]]
-                    ),
+                    t_noises[j],
                     vmul_scalar(s_sq, 1 << (j * params.relin_base)),
                 )
                 keys.append((vsub(body, a_s[j]), a_rows[j]))
@@ -658,19 +785,28 @@ class RLWE:
 
     # -- encryption --------------------------------------------------------
 
-    def _check_messages(
-        self, messages: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
+    def _check_messages(self, messages: Sequence[Sequence[int]]) -> np.ndarray:
+        """Messages as one ``(batch, n)`` int64 matrix, validated in one
+        pass: ``n`` coefficients each, integers (a float would truncate
+        silently) and in ``[0, t)``."""
         params = self.params
-        checked = [list(message) for message in messages]
-        for message in checked:
-            if len(message) != params.n:
-                raise ValueError(
-                    f"message must have {params.n} coefficients"
-                )
-            if any(not 0 <= m < params.t for m in message):
-                raise ValueError("message coefficients must lie in [0, t)")
-        return checked
+        if not isinstance(messages, np.ndarray):
+            messages = list(messages)
+        if len(messages) == 0:
+            return np.empty((0, params.n), dtype=np.int64)
+        try:
+            matrix = np.asarray(messages)
+        except ValueError:  # ragged
+            matrix = None
+        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != params.n:
+            raise ValueError(f"message must have {params.n} coefficients")
+        if matrix.dtype.kind not in "biu":  # floats, ints past 64 bits, ...
+            matrix = np.array(messages, dtype=object)
+            if not all(isinstance(m, numbers.Integral) for m in matrix.flat):
+                raise ValueError("message coefficients must be integers")
+        if ((matrix < 0) | (matrix >= params.t)).any():
+            raise ValueError("message coefficients must lie in [0, t)")
+        return matrix.astype(np.int64)
 
     def encrypt(self, key, message: Sequence[int]) -> RLWECiphertext:
         """Encrypt a length-n message polynomial over ``Z_t``.
@@ -696,12 +832,12 @@ class RLWE:
         """
         params = self.params
         messages = self._check_messages(messages)
-        if not messages:
-            return []
         batch = len(messages)
+        if not batch:
+            return []
         level = params.level_count
         noise = self._noise_signed(batch)
-        payload = np.array(messages, dtype=np.int64) + params.t * noise
+        payload = messages + params.t * noise
         a = self._uniform(level, count=batch)
         a_s = self._conv_broadcast(a, self._secret_for(key))
         payload_rows = np.repeat(to_field_matrix(payload), level, axis=0)
@@ -745,31 +881,6 @@ class RLWE:
             c1 = mac(c1, np.vstack(c2))
         return mac(np.vstack([ct.c0 for ct in cts]), c1)
 
-    def _crt_lift(self, rows: np.ndarray, level: int) -> np.ndarray:
-        """CRT-recombine ``(batch·level, n)`` channels to centered
-        integers mod ``q`` (an ``object`` row of Python ints per
-        ciphertext)."""
-        params = self.params
-        primes = params.rns_primes[:level]
-        q = params.modulus(level)
-        coefs = []
-        for i, prime in enumerate(primes):
-            qhat = q // prime
-            coefs.append(qhat * pow(qhat % prime, -1, prime) % q)
-        batch = rows.shape[0] // level
-        out = []
-        for b in range(batch):
-            chunk = rows[b * level : (b + 1) * level]
-            row = []
-            for j in range(params.n):
-                x = 0
-                for i in range(level):
-                    x += int(chunk[i, j]) * coefs[i]
-                x %= q
-                row.append(x - q if x > q >> 1 else x)
-            out.append(row)
-        return np.array(out, dtype=object)
-
     def decrypt_many(
         self, key, cts: Sequence[RLWECiphertext]
     ) -> List[List[int]]:
@@ -782,8 +893,7 @@ class RLWE:
         cts = self._check_ciphertexts(cts)
         if not cts:
             return []
-        phase = self._lift(self._phase_rows(key, cts), cts[0].level)
-        return (phase % self.params.t).tolist()
+        return self._plain(self._phase_rows(key, cts), cts[0].level).tolist()
 
     # -- homomorphic operations ---------------------------------------------
 
@@ -1113,8 +1223,8 @@ class RLWE:
         reliable while the budget is positive; it shrinks with every
         homomorphic operation and is (partially) restored relative to
         the shrunken modulus by :meth:`mod_switch`."""
-        phase = self._lift(self._phase_rows(key, [ct]), ct.level)
-        magnitude = max(1, int(np.abs(phase).max()))
+        phase = self._phase_rows(key, [ct])
+        magnitude = max(1, self._magnitude(phase, ct.level))
         return math.log2(self.params.modulus(ct.level) / 2) - math.log2(
             magnitude
         )

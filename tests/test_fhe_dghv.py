@@ -114,6 +114,14 @@ class TestParams:
         for m in (0, 1):
             assert scheme.decrypt(keys, scheme.encrypt(keys, m)) == m
 
+    def test_unseeded_scheme_draws_from_system_random(self):
+        """The Mersenne Twister's state can be rebuilt from its outputs."""
+        scheme = DGHV(TOY)
+        assert isinstance(scheme.rng, random.SystemRandom)
+        keys = scheme.generate_keys()
+        for m in (0, 1):
+            assert scheme.decrypt(keys, scheme.encrypt(keys, m)) == m
+
 
 class TestMultiplierStrategy:
     def test_custom_multiplier_used(self, keys):
